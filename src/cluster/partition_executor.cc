@@ -1,18 +1,26 @@
 #include "cluster/partition_executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/perf_model.h"
+#include "exec/chunk_map_reduce.h"
+#include "la/chunker.h"
+#include "obs/trace_recorder.h"
 #include "util/sys_info.h"
 
 namespace m3::cluster {
 
 PartitionExecutor::PartitionExecutor(std::vector<Partition> partitions,
                                      const ClusterConfig& config,
-                                     const exec::MappedRegion& data)
+                                     const exec::MappedRegion& data,
+                                     la::ConstMatrixView x,
+                                     la::ConstVectorView y)
     : partitions_(std::move(partitions)),
       config_(config),
       data_(data),
+      x_(x),
+      y_(y),
       task_order_(exec::ChunkSchedule::Strided(partitions_.size(),
                                                config.num_instances)),
       pipelines_(partitions_.size()) {
@@ -129,7 +137,7 @@ exec::ChunkPipeline* PartitionExecutor::PreparePartition(size_t index,
 double PredictExecSeconds(const std::vector<Partition>& partitions,
                           const ClusterConfig& config, uint64_t row_bytes,
                           bool cold) {
-  if (!config.calibrated_from_measurement ||
+  if (!config.exec.use_pipelines || !config.calibrated_from_measurement ||
       config.spill_read_bytes_per_sec <= 0) {
     return 0;
   }
@@ -152,12 +160,93 @@ double PredictExecSeconds(const std::vector<Partition>& partitions,
   return CombineOverlap(cpu, io, config.overlap_efficiency);
 }
 
-double PartitionExecutor::PredictJobExecSeconds(uint64_t row_bytes,
-                                                bool cold) const {
-  if (!pipelined() || !bound()) {
-    return 0;
+double PartitionExecutor::PredictExecSeconds(uint64_t row_bytes,
+                                             bool cold) const {
+  return bound() ? cluster::PredictExecSeconds(partitions_, config_,
+                                               row_bytes, cold)
+                 : 0;
+}
+
+template <typename T, typename MapFn, typename ConsumeFn>
+void PartitionExecutor::RunTasks(size_t lane, MapFn&& map,
+                                 ConsumeFn&& consume, JobStats* job) {
+  obs::ScopedSpan job_span("cluster", "run_job");
+  if (job_span.armed()) {
+    job_span.AddArg("tasks", static_cast<uint64_t>(task_order_.num_chunks()));
+    if (lane != kAllLanes) {
+      job_span.AddArg("instance", static_cast<uint64_t>(lane));
+    }
   }
-  return PredictExecSeconds(partitions_, config_, row_bytes, cold);
+  if (job != nullptr && pipelined()) {
+    job->instance_exec.resize(config_.num_instances);
+  }
+  size_t lane_chunks = 0;
+  for (size_t pos = 0; pos < task_order_.num_chunks(); ++pos) {
+    const size_t index = task_order_.At(pos);
+    const Partition& partition = partitions_[index];
+    if (lane != kAllLanes && partition.instance != lane) {
+      continue;
+    }
+    obs::ScopedSpan task_span("cluster", "partition_task");
+    if (task_span.armed()) {
+      task_span.AddArg("partition", static_cast<uint64_t>(index));
+      task_span.AddArg("instance", static_cast<uint64_t>(partition.instance));
+      task_span.AddArg("cached", partition.cached ? "true" : "false");
+    }
+    exec::ChunkPipeline* pipeline = PreparePartition(index, job);
+    const la::RowChunker chunker(partition.rows(), ChunkRowsFor(partition));
+    exec::MapReduceChunks<T>(
+        pipeline, chunker,
+        exec::ChunkSchedule::Sequential(chunker.NumChunks()),
+        [&](size_t chunk, size_t row_begin, size_t row_end) {
+          return map(lane_chunks + chunk, partition.row_begin + row_begin,
+                     partition.row_begin + row_end);
+        },
+        [&](size_t, T&& partial) { consume(std::move(partial)); });
+    lane_chunks += chunker.NumChunks();
+    CollectStats(index, pipeline, job);
+  }
+  if (job != nullptr && pipelined()) {
+    // The job's measured execution wall time: the drive seconds the
+    // visited lanes' partition passes just recorded (this JobStats is per
+    // job — the instance_exec entries hold exactly this job's deltas).
+    for (size_t i = 0; i < job->instance_exec.size(); ++i) {
+      if (lane == kAllLanes || i == lane) {
+        const InstanceExecStats& instance = job->instance_exec[i];
+        job->measured_exec_seconds += instance.cached.drive_seconds +
+                                      instance.spilled.drive_seconds;
+      }
+    }
+  }
+}
+
+util::Status PartitionExecutor::RunJob(const ChunkJob& job, const FoldFn& fold,
+                                       JobStats* stats) {
+  const size_t words = job.PartialBytes(x_.cols()) / sizeof(double);
+  RunTasks<std::vector<double>>(
+      kAllLanes,
+      [&](size_t, size_t row_begin, size_t row_end) {
+        std::vector<double> partial(words);
+        RunChunkKernel(job, x_, y_, row_begin, row_end, partial.data());
+        return partial;
+      },
+      [&](std::vector<double>&& partial) { fold(partial.data()); }, stats);
+  return util::Status::OK();
+}
+
+void PartitionExecutor::RunLane(size_t instance, const ChunkJob& job,
+                                double* out, JobStats* stats) {
+  const size_t words = job.PartialBytes(x_.cols()) / sizeof(double);
+  // The kernel writes straight into `out`; nothing is left to consume.
+  struct Written {};
+  RunTasks<Written>(
+      instance,
+      [&](size_t lane_chunk, size_t row_begin, size_t row_end) {
+        RunChunkKernel(job, x_, y_, row_begin, row_end,
+                       out + lane_chunk * words);
+        return Written{};
+      },
+      [](Written&&) {}, stats);
 }
 
 void PartitionExecutor::CollectStats(size_t index,

@@ -1,24 +1,23 @@
 #ifndef M3_CLUSTER_PARTITION_EXECUTOR_H_
 #define M3_CLUSTER_PARTITION_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cluster/cluster_config.h"
+#include "cluster/driver.h"
 #include "cluster/partition.h"
-#include "exec/chunk_map_reduce.h"
 #include "exec/chunk_pipeline.h"
 #include "exec/chunk_schedule.h"
 #include "io/prefetch_backend.h"
-#include "la/chunker.h"
-#include "obs/trace_recorder.h"
 #include "util/thread_pool.h"
 
 namespace m3::cluster {
 
-/// \brief Runs simulated partition tasks through real per-partition
-/// execution pipelines.
+/// \brief Runs partition tasks in-process through real per-partition
+/// execution pipelines: the simulator's JobExecutor, and the engine each
+/// ProcessFleet worker drives its own instance's partitions with.
 ///
 /// One executor lives for one distributed run (all of its jobs). Tasks are
 /// visited in a `ChunkSchedule::Strided(partitions, num_instances)`
@@ -40,152 +39,61 @@ namespace m3::cluster {
 ///     job re-faults them from storage (Spark's per-iteration spill
 ///     re-read, measured instead of only modeled).
 ///
-/// Determinism: `map` computes one partial per chunk (possibly on pipeline
-/// workers, in any order); `reduce` folds partials on the calling thread
-/// in ascending chunk order within each partition, partitions in the fixed
-/// strided task order. The fold sequence is therefore identical with
-/// pipelines off, on, and at any worker count — results are bitwise
-/// reproducible across all engine configurations.
-class PartitionExecutor {
+/// Determinism: the chunk kernel runs once per chunk (possibly on
+/// pipeline workers, in any order); partials are consumed on the calling
+/// thread in ascending chunk order within each partition, partitions in
+/// the fixed strided task order. The fold sequence is therefore identical
+/// with pipelines off, on, and at any worker count.
+class PartitionExecutor final : public JobExecutor {
  public:
-  /// `data.mapping == nullptr` means in-memory execution (pipelines, when
-  /// enabled, only orchestrate compute). When bound, `data.base_offset` is
-  /// the byte offset of feature row 0 and `data.row_bytes` the stride of
-  /// one row.
+  /// `x`/`y` are the rows the chunk kernels read. `data.mapping ==
+  /// nullptr` means in-memory execution (pipelines, when enabled, only
+  /// orchestrate compute). When bound, `data.base_offset` is the byte
+  /// offset of feature row 0 and `data.row_bytes` the stride of one row.
   PartitionExecutor(std::vector<Partition> partitions,
                     const ClusterConfig& config,
-                    const exec::MappedRegion& data);
+                    const exec::MappedRegion& data, la::ConstMatrixView x,
+                    la::ConstVectorView y);
 
   PartitionExecutor(const PartitionExecutor&) = delete;
   PartitionExecutor& operator=(const PartitionExecutor&) = delete;
 
-  const std::vector<Partition>& partitions() const { return partitions_; }
-
-  /// The strided task visit order shared by every job of this run.
-  const exec::ChunkSchedule& task_order() const { return task_order_; }
+  const std::vector<Partition>& partitions() const override {
+    return partitions_;
+  }
 
   bool pipelined() const { return config_.exec.use_pipelines; }
   bool bound() const { return data_.mapping != nullptr; }
 
-  /// Runs one distributed job: every partition task, in task_order().
-  /// `map(partition, row_begin, row_end) -> T` computes a chunk partial
-  /// over global row coordinates; `reduce(partition, T&&)` folds it on the
-  /// calling thread in deterministic order. When `job` is non-null and
-  /// pipelines are on, the job's measured per-instance stats are recorded
-  /// into `job->instance_exec`.
-  template <typename T, typename MapFn, typename ReduceFn>
-  void RunJob(MapFn&& map, ReduceFn&& reduce, JobStats* job) {
-    obs::ScopedSpan job_span("cluster", "run_job");
-    if (job_span.armed()) {
-      job_span.AddArg("tasks",
-                      static_cast<uint64_t>(task_order_.num_chunks()));
-    }
-    if (job != nullptr && pipelined()) {
-      job->instance_exec.resize(config_.num_instances);
-    }
-    for (size_t pos = 0; pos < task_order_.num_chunks(); ++pos) {
-      const size_t index = task_order_.At(pos);
-      const Partition& partition = partitions_[index];
-      obs::ScopedSpan task_span("cluster", "partition_task");
-      if (task_span.armed()) {
-        task_span.AddArg("partition", static_cast<uint64_t>(index));
-        task_span.AddArg("instance",
-                         static_cast<uint64_t>(partition.instance));
-        task_span.AddArg("cached", partition.cached ? "true" : "false");
-      }
-      exec::ChunkPipeline* pipeline = PreparePartition(index, job);
-      const la::RowChunker chunker(partition.rows(), ChunkRowsFor(partition));
-      exec::MapReduceChunks<T>(
-          pipeline, chunker,
-          exec::ChunkSchedule::Sequential(chunker.NumChunks()),
-          [&](size_t, size_t row_begin, size_t row_end) {
-            return map(partition, partition.row_begin + row_begin,
-                       partition.row_begin + row_end);
-          },
-          [&](size_t, T&& partial) { reduce(partition, std::move(partial)); });
-      CollectStats(index, pipeline, job);
-    }
-    if (job != nullptr && pipelined()) {
-      // The job's measured execution wall time: the drive seconds its
-      // partition passes just recorded (this JobStats is per job — the
-      // instance_exec entries hold exactly this job's deltas).
-      for (const InstanceExecStats& instance : job->instance_exec) {
-        job->measured_exec_seconds += instance.cached.drive_seconds +
-                                      instance.spilled.drive_seconds;
-      }
-    }
-  }
+  /// Runs `job` over every partition and folds each chunk partial in the
+  /// strided task order. Never fails. With pipelines on, the job's measured
+  /// per-instance stats land in `stats->instance_exec`.
+  util::Status RunJob(const ChunkJob& job, const FoldFn& fold,
+                      JobStats* stats) override;
 
-  /// Runs the slice of one job owned by `instance`: that instance's
-  /// partitions only, visited in the position they occupy in the global
-  /// task_order() (lane `instance` of the strided schedule — ascending
-  /// partition index). `map` is exactly RunJob's map; instead of folding,
-  /// every chunk partial is handed to
-  /// `emit(partition_index, chunk_index, T&&)` in ascending chunk order
-  /// within each partition. This is the worker half of the
-  /// cluster::ProcessFleet split: each worker emits its raw per-chunk
-  /// partials (never pre-folded — FP addition is not associative) and the
-  /// parent folds ALL instances' partials in the full task_order()
-  /// sequence, reproducing RunJob's fold bitwise at any fleet size. Stats
-  /// recording matches RunJob, but only `instance`'s slot is populated.
-  template <typename T, typename MapFn, typename EmitFn>
-  void RunInstanceJob(size_t instance, MapFn&& map, EmitFn&& emit,
-                      JobStats* job) {
-    obs::ScopedSpan job_span("cluster", "run_instance_job");
-    if (job_span.armed()) {
-      job_span.AddArg("instance", static_cast<uint64_t>(instance));
-    }
-    if (job != nullptr && pipelined()) {
-      job->instance_exec.resize(config_.num_instances);
-    }
-    for (size_t pos = 0; pos < task_order_.num_chunks(); ++pos) {
-      const size_t index = task_order_.At(pos);
-      const Partition& partition = partitions_[index];
-      if (partition.instance != instance) {
-        continue;
-      }
-      obs::ScopedSpan task_span("cluster", "partition_task");
-      if (task_span.armed()) {
-        task_span.AddArg("partition", static_cast<uint64_t>(index));
-        task_span.AddArg("instance",
-                         static_cast<uint64_t>(partition.instance));
-        task_span.AddArg("cached", partition.cached ? "true" : "false");
-      }
-      exec::ChunkPipeline* pipeline = PreparePartition(index, job);
-      const la::RowChunker chunker(partition.rows(), ChunkRowsFor(partition));
-      exec::MapReduceChunks<T>(
-          pipeline, chunker,
-          exec::ChunkSchedule::Sequential(chunker.NumChunks()),
-          [&](size_t, size_t row_begin, size_t row_end) {
-            return map(partition, partition.row_begin + row_begin,
-                       partition.row_begin + row_end);
-          },
-          [&](size_t chunk, T&& partial) {
-            emit(index, chunk, std::move(partial));
-          });
-      CollectStats(index, pipeline, job);
-    }
-    if (job != nullptr && pipelined()) {
-      // This worker's measured execution wall time (only `instance`'s
-      // entry is non-zero here).
-      for (const InstanceExecStats& stats : job->instance_exec) {
-        job->measured_exec_seconds +=
-            stats.cached.drive_seconds + stats.spilled.drive_seconds;
-      }
-    }
-  }
+  /// The worker half of the ProcessFleet split: runs `job` over
+  /// `instance`'s partitions only (lane `instance` of the task order —
+  /// ascending partition index) and writes its i-th chunk partial to
+  /// `out + i * job.PartialBytes(d) / 8`. Stats recording matches RunJob,
+  /// but only `instance`'s slot is populated.
+  void RunLane(size_t instance, const ChunkJob& job, double* out,
+               JobStats* stats);
 
-  /// The measured-calibrated model's prediction of one job's pipeline
-  /// execution wall seconds on THIS machine (the counterpart of
-  /// JobStats::measured_exec_seconds): fitted local CPU cost over every
-  /// partition's bytes, fitted re-read bandwidth over the bytes that come
-  /// from storage (all of them when `cold`, the spilled partitions
-  /// otherwise), combined under the fitted overlap efficiency. Returns 0
-  /// unless the run is pipelined, mmap-bound, and the config carries a
-  /// measured calibration (ClusterConfig::CalibrateFromMeasured).
-  double PredictJobExecSeconds(uint64_t row_bytes, bool cold) const;
+  /// 0 unless the run is mmap-bound; otherwise cluster::PredictExecSeconds
+  /// over this run's partitions.
+  double PredictExecSeconds(uint64_t row_bytes, bool cold) const override;
 
  private:
+  static constexpr size_t kAllLanes = SIZE_MAX;
+
+  /// The one job loop. Visits the partitions of `lane` (kAllLanes: every
+  /// instance's) in task order. `map(lane_chunk, row_begin, row_end) -> T`
+  /// computes the partial of the lane's `lane_chunk`-th chunk over global
+  /// rows; `consume(T&&)` receives it on the calling thread in order.
+  template <typename T, typename MapFn, typename ConsumeFn>
+  void RunTasks(size_t lane, MapFn&& map, ConsumeFn&& consume,
+                JobStats* job);
+
   /// Returns the partition's pipeline (lazily created) or nullptr when
   /// pipelines are off. For bound spilled partitions, force-evicts the
   /// partition's pages first and counts the re-fault into `job`.
@@ -208,10 +116,12 @@ class PartitionExecutor {
   std::vector<Partition> partitions_;
   ClusterConfig config_;  ///< by value: the executor may outlive callers' copies
   exec::MappedRegion data_;
-  exec::ChunkSchedule task_order_;
+  la::ConstMatrixView x_;
+  la::ConstVectorView y_;
+  exec::ChunkSchedule task_order_;  ///< strided, shared by every job
   /// Cached rows per instance (budget proration denominator).
   std::vector<size_t> instance_cached_rows_;
-  /// Pools shared by every partition pipeline: RunJob drives one partition
+  /// Pools shared by every partition pipeline: a job drives one partition
   /// at a time, so per-partition pools would only multiply idle threads
   /// (partitions x workers of them) without adding parallelism.
   std::unique_ptr<util::ThreadPool> io_pool_;
@@ -222,11 +132,14 @@ class PartitionExecutor {
   std::vector<std::unique_ptr<exec::ChunkPipeline>> pipelines_;
 };
 
-/// \brief The calibrated-model execution prediction behind
-/// PartitionExecutor::PredictJobExecSeconds, callable without an executor
-/// (cluster::ProcessFleet's parent predicts while the pipelines live in
-/// worker processes). Returns 0 unless `config` carries a measured
-/// calibration.
+/// \brief The calibrated model's prediction of one job's pipeline
+/// execution wall seconds on THIS machine (the counterpart of
+/// JobStats::measured_exec_seconds): fitted local CPU cost over every
+/// partition's bytes, fitted re-read bandwidth over the bytes that come
+/// from storage (all of them when `cold`, the spilled partitions
+/// otherwise), combined under the fitted overlap efficiency. Returns 0
+/// unless `config` turns pipelines on and carries a measured calibration
+/// (ClusterConfig::CalibrateFromMeasured).
 double PredictExecSeconds(const std::vector<Partition>& partitions,
                           const ClusterConfig& config, uint64_t row_bytes,
                           bool cold);

@@ -7,20 +7,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <string_view>
 #include <utility>
 
 #include "cluster/partition_executor.h"
-#include "cluster/sim_clock.h"
-#include "la/blas.h"
 #include "la/chunker.h"
-#include "ml/logistic_regression.h"
-#include "obs/trace_recorder.h"
 #include "obs/trace_session.h"
 #include "util/format.h"
 #include "util/json.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 
 namespace m3::cluster {
@@ -36,6 +30,9 @@ namespace {
 /// append-only schema growth).
 constexpr size_t kStatsBytes = 32 << 10;
 
+/// The broadcast job header: [u64 k][u64 num_params], then the params.
+constexpr size_t kJobHeaderBytes = 2 * sizeof(uint64_t);
+
 /// Worker exit codes (surface in the parent's error message via waitpid).
 constexpr int kWorkerExitDatasetFailed = 3;
 
@@ -50,59 +47,6 @@ std::string DescribeExit(int status) {
 }
 
 }  // namespace
-
-/// The parent-side L-BFGS objective: every gradient evaluation is one
-/// fleet-wide job. ml::DifferentiableFunction cannot return a Status, so a
-/// worker failure latches into `failure_` (checked by RunLogisticRegression
-/// after Minimize) and later evaluations short-circuit to zero — the
-/// optimizer then converges immediately on the zero gradient instead of
-/// driving a dead fleet.
-class FleetLrObjective final : public ml::DifferentiableFunction {
- public:
-  FleetLrObjective(ProcessFleet* fleet, size_t dimension, double l2,
-                   JobStats* stats)
-      : fleet_(fleet), dimension_(dimension), l2_(l2), stats_(stats) {}
-
-  size_t Dimension() const override { return dimension_; }
-
-  double EvaluateWithGradient(la::ConstVectorView w,
-                              la::VectorView grad) override {
-    obs::ScopedSpan job_span("cluster", "lr_gradient_job");
-    grad.SetZero();
-    if (!failure_.ok()) {
-      return 0;
-    }
-    double loss = 0;
-    JobStats job;
-    failure_ = fleet_->RunLrGradient(w, grad, &loss, first_pass_, &job);
-    if (!failure_.ok()) {
-      grad.SetZero();
-      return 0;
-    }
-    // Driver adds the ridge term (as MLlib's updater does) — identical to
-    // DistributedLrObjective.
-    const size_t d = dimension_ - 1;
-    if (l2_ > 0) {
-      la::ConstVectorView weights = w.Slice(0, d);
-      loss += 0.5 * l2_ * la::Dot(weights, weights);
-      la::Axpy(l2_, weights, grad.Slice(0, d));
-    }
-    job.jobs = 1;
-    stats_->Accumulate(job);
-    first_pass_ = false;
-    return loss;
-  }
-
-  const Status& failure() const { return failure_; }
-
- private:
-  ProcessFleet* fleet_;
-  size_t dimension_;
-  double l2_;
-  JobStats* stats_;
-  Status failure_ = Status::OK();
-  bool first_pass_ = true;
-};
 
 Result<std::unique_ptr<ProcessFleet>> ProcessFleet::Spawn(
     const std::string& dataset_path, const FleetOptions& options) {
@@ -149,14 +93,13 @@ ProcessFleet::ProcessFleet(MappedDataset dataset, std::string dataset_path,
     partition_chunk_base_[p] = worker_chunks_[partition.instance];
     worker_chunks_[partition.instance] += chunker.NumChunks();
   }
-  const size_t d = dataset_.cols();
-  const size_t k = options_.max_kmeans_k;
-  // LR chunk partial: loss + (d+1)-gradient. k-means chunk partial:
-  // inertia + k*d center sums + k counts.
-  const size_t lr_partial = (d + 2) * sizeof(double);
-  const size_t km_partial =
-      sizeof(double) * (1 + k * d) + sizeof(uint64_t) * k;
-  max_partial_bytes_ = std::max(lr_partial, km_partial);
+  ChunkJob lr;
+  lr.kind = io::ShmChannel::kJobLrGradient;
+  ChunkJob kmeans;
+  kmeans.kind = io::ShmChannel::kJobKMeansIteration;
+  kmeans.k = options_.max_kmeans_k;
+  max_partial_bytes_ = std::max(lr.PartialBytes(dataset_.cols()),
+                                kmeans.PartialBytes(dataset_.cols()));
 }
 
 ProcessFleet::~ProcessFleet() { Shutdown().IgnoreError(); }
@@ -166,12 +109,11 @@ Status ProcessFleet::Start() {
   const size_t d = dataset_.cols();
   io::ShmChannel::Options channel_options;
   channel_options.num_workers = workers;
-  // Broadcast payloads: LR = [u64 n][n doubles]; k-means =
-  // [u64 k][u64 d][k*d doubles].
+  // Broadcast payload: [u64 k][u64 num_params][num_params doubles] — the
+  // ChunkJob a worker rebuilds (LR: d+1 weights; k-means: k*d centers).
   channel_options.broadcast_bytes =
-      std::max(sizeof(uint64_t) + (d + 1) * sizeof(double),
-               2 * sizeof(uint64_t) +
-                   options_.max_kmeans_k * d * sizeof(double));
+      kJobHeaderBytes +
+      std::max(d + 1, options_.max_kmeans_k * d) * sizeof(double);
   channel_options.slot_bytes.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     channel_options.slot_bytes.push_back(
@@ -284,10 +226,6 @@ Status ProcessFleet::ParseWorkerStats(size_t worker, JobStats* job) {
 
 Status ProcessFleet::RunPhase(uint64_t kind, uint64_t payload_len,
                               JobStats* job) {
-  if (!alive_) {
-    return Status::FailedPrecondition(
-        "process fleet is not running (crashed or shut down)");
-  }
   const uint64_t seq = channel_->PublishJob(kind, payload_len);
   // One shared deadline across the fleet: workers run concurrently, so
   // waiting for worker 0 also buys workers 1..N-1 time. A dead worker is
@@ -347,213 +285,54 @@ Status ProcessFleet::RunPhase(uint64_t kind, uint64_t payload_len,
                           ")");
 }
 
-Status ProcessFleet::RunLrGradient(la::ConstVectorView w, la::VectorView grad,
-                                   double* loss, bool first_pass,
-                                   JobStats* job) {
-  const uint64_t n = w.size();
-  uint8_t* broadcast = channel_->broadcast();
-  std::memcpy(broadcast, &n, sizeof(n));
-  // m3-aligned: broadcast() is page-aligned; sizeof(n) == 8.
-  double* payload = reinterpret_cast<double*>(broadcast + sizeof(n));
-  for (size_t i = 0; i < n; ++i) {
-    payload[i] = w[i];
+Status ProcessFleet::RunJob(const ChunkJob& job, const FoldFn& fold,
+                            JobStats* stats) {
+  if (!alive_) {
+    return Status::FailedPrecondition(
+        "process fleet is not running (crashed or shut down)");
   }
-  M3_RETURN_IF_ERROR(RunPhase(io::ShmChannel::kJobLrGradient,
-                              sizeof(n) + n * sizeof(double), job));
-
+  uint8_t* broadcast = channel_->broadcast();
+  const uint64_t header[2] = {job.k, job.num_params};
+  const size_t params_bytes = job.num_params * sizeof(double);
+  std::memcpy(broadcast, header, kJobHeaderBytes);
+  std::memcpy(broadcast + kJobHeaderBytes, job.params, params_bytes);
+  M3_RETURN_IF_ERROR(
+      RunPhase(job.kind, kJobHeaderBytes + params_bytes, stats));
   // Fold every chunk partial in the simulator's order: partitions in the
-  // strided task order, chunks ascending within each — the byte-for-byte
-  // reduce sequence of PartitionExecutor::RunJob.
-  const size_t stride = (static_cast<size_t>(n) + 1) * sizeof(double);
+  // strided task order, chunks ascending within each — the reduce
+  // sequence of PartitionExecutor::RunJob.
+  const size_t words = job.PartialBytes(dataset_.cols()) / sizeof(double);
   for (size_t pos = 0; pos < fold_order_.num_chunks(); ++pos) {
     const size_t p = fold_order_.At(pos);
-    const Partition& partition = partitions_[p];
-    const uint8_t* slot = channel_->slot(partition.instance);
+    // m3-aligned: slot() is page-aligned; partials are whole 8-byte words.
+    const double* slot = reinterpret_cast<const double*>(
+        channel_->slot(partitions_[p].instance));
     for (size_t c = 0; c < partition_chunks_[p]; ++c) {
-      // m3-aligned: slot() is page-aligned; stride is a multiple of 8.
-      const double* partial = reinterpret_cast<const double*>(
-          slot + (partition_chunk_base_[p] + c) * stride);
-      *loss += partial[0];
-      la::Axpy(1.0, la::ConstVectorView(partial + 1, n), grad);
+      fold(slot + (partition_chunk_base_[p] + c) * words);
     }
   }
-
-  const uint64_t row_bytes = dataset_.cols() * sizeof(double);
-  const uint64_t result_bytes = (n + 1) * sizeof(double);
-  if (options_.config.exec.use_pipelines) {
-    job->predicted_exec_seconds =
-        PredictExecSeconds(partitions_, options_.config, row_bytes,
-                           first_pass);
-  }
-  StageCostModel model(options_.config);
-  job->Accumulate(model.Broadcast(result_bytes));
-  job->Accumulate(model.StageCost(partitions_, row_bytes, first_pass));
-  job->Accumulate(model.TreeAggregate(result_bytes));
   return Status::OK();
+}
+
+double ProcessFleet::PredictExecSeconds(uint64_t row_bytes, bool cold) const {
+  return cluster::PredictExecSeconds(partitions_, options_.config, row_bytes,
+                                     cold);
 }
 
 Result<DistributedLrResult> ProcessFleet::RunLogisticRegression(
     double l2, ml::LbfgsOptions optimizer_options) {
-  if (!alive_) {
-    return Status::FailedPrecondition(
-        "process fleet is not running (crashed or shut down)");
-  }
-  if (!options_.config.exec.trace_path.empty()) {
-    obs::StartGlobalTrace(options_.config.exec.trace_path);
-  }
-  obs::ScopedSpan run_span("cluster", "logistic_regression");
-  if (run_span.armed()) {
-    run_span.AddArg("rows", static_cast<uint64_t>(dataset_.rows()));
-    run_span.AddArg("instances",
-                    static_cast<uint64_t>(options_.config.num_instances));
-  }
-  DistributedLrResult result;
-  const size_t d = dataset_.cols();
-  FleetLrObjective objective(this, d + 1, l2, &result.stats);
-  la::Vector params(d + 1);
-  ml::Lbfgs optimizer(optimizer_options);
-  Result<ml::OptimizationResult> optimization =
-      optimizer.Minimize(&objective, params.View());
-  if (!objective.failure().ok()) {
-    return objective.failure();
-  }
-  M3_RETURN_IF_ERROR(optimization.status());
-  result.optimization = std::move(optimization).value();
-  result.model.weights = la::Vector(d);
-  la::Copy(params.View().Slice(0, d), result.model.weights);
-  result.model.intercept = params[d];
-  return result;
+  return DriveLogisticRegression(this, options_.config, dataset_.features(),
+                                 l2, optimizer_options);
 }
 
 Result<DistributedKMeansResult> ProcessFleet::RunKMeans(
     ml::KMeansOptions options) {
-  if (!alive_) {
-    return Status::FailedPrecondition(
-        "process fleet is not running (crashed or shut down)");
-  }
-  const size_t n = dataset_.rows();
-  const size_t d = dataset_.cols();
-  const size_t k = options.k;
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("k must be in [1, rows]");
-  }
-  if (k > options_.max_kmeans_k) {
+  if (options.k > options_.max_kmeans_k) {
     return Status::InvalidArgument(
         "k exceeds FleetOptions::max_kmeans_k (result slots were sized at "
         "Spawn)");
   }
-  if (!options_.config.exec.trace_path.empty()) {
-    obs::StartGlobalTrace(options_.config.exec.trace_path);
-  }
-  obs::ScopedSpan run_span("cluster", "kmeans");
-  if (run_span.armed()) {
-    run_span.AddArg("rows", static_cast<uint64_t>(n));
-    run_span.AddArg("k", static_cast<uint64_t>(k));
-  }
-  DistributedKMeansResult result;
-  const la::ConstMatrixView x = dataset_.features();
-  const uint64_t row_bytes = d * sizeof(double);
-  StageCostModel model(options_.config);
-
-  // Identical seeding to SparkCluster (which itself matches the
-  // single-machine implementation): the parent's mapping serves the
-  // bounded init sample.
-  M3_ASSIGN_OR_RETURN(la::Matrix centers, ml::KMeans::SeedCenters(x, options));
-
-  const uint64_t centers_bytes = k * d * sizeof(double);
-  const uint64_t result_bytes = centers_bytes + k * sizeof(uint64_t);
-  const size_t stride =
-      sizeof(double) * (1 + k * d) + sizeof(uint64_t) * k;
-
-  la::Matrix sums(k, d);
-  std::vector<uint64_t> counts(k);
-  util::Rng rng(options.seed);
-  double previous_inertia = std::numeric_limits<double>::max();
-
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    obs::ScopedSpan iter_span("cluster", "kmeans_iteration");
-    if (iter_span.armed()) {
-      iter_span.AddArg("iteration", static_cast<uint64_t>(iter));
-    }
-    sums.SetZero();
-    std::fill(counts.begin(), counts.end(), 0);
-    double inertia = 0;
-    JobStats job;
-
-    // Broadcast this iteration's centers: [u64 k][u64 d][k*d doubles].
-    uint8_t* broadcast = channel_->broadcast();
-    const uint64_t k64 = k;
-    const uint64_t d64 = d;
-    std::memcpy(broadcast, &k64, sizeof(k64));
-    std::memcpy(broadcast + 8, &d64, sizeof(d64));
-    // m3-aligned: broadcast() is page-aligned; 16 is a multiple of 8.
-    double* payload = reinterpret_cast<double*>(broadcast + 16);
-    for (size_t c = 0; c < k; ++c) {
-      const la::ConstVectorView row = centers.Row(c);
-      for (size_t j = 0; j < d; ++j) {
-        payload[c * d + j] = row[j];
-      }
-    }
-    Status phase = RunPhase(io::ShmChannel::kJobKMeansIteration,
-                            16 + centers_bytes, &job);
-    if (!phase.ok()) {
-      return phase;
-    }
-
-    // Fold in simulator order (see RunLrGradient).
-    for (size_t pos = 0; pos < fold_order_.num_chunks(); ++pos) {
-      const size_t p = fold_order_.At(pos);
-      const Partition& partition = partitions_[p];
-      const uint8_t* slot = channel_->slot(partition.instance);
-      for (size_t chunk = 0; chunk < partition_chunks_[p]; ++chunk) {
-        const uint8_t* partial =
-            slot + (partition_chunk_base_[p] + chunk) * stride;
-        // m3-aligned: slot() is page-aligned; stride is a multiple of 8.
-        const double* values = reinterpret_cast<const double*>(partial);
-        // m3-aligned: the counts offset is a multiple of sizeof(double).
-        const uint64_t* chunk_counts = reinterpret_cast<const uint64_t*>(
-            partial + sizeof(double) * (1 + k * d));
-        inertia += values[0];
-        for (size_t c = 0; c < k; ++c) {
-          la::Axpy(1.0, la::ConstVectorView(values + 1 + c * d, d),
-                   sums.Row(c));
-          counts[c] += chunk_counts[c];
-        }
-      }
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] > 0) {
-        la::Copy(sums.Row(c), centers.Row(c));
-        la::Scal(1.0 / static_cast<double>(counts[c]), centers.Row(c));
-      } else {
-        const size_t row = static_cast<size_t>(rng.UniformInt(uint64_t{n}));
-        la::Copy(x.Row(row), centers.Row(c));
-      }
-    }
-
-    if (options_.config.exec.use_pipelines) {
-      job.predicted_exec_seconds = PredictExecSeconds(
-          partitions_, options_.config, row_bytes, iter == 0);
-    }
-    job.Accumulate(model.Broadcast(centers_bytes));
-    job.Accumulate(model.StageCost(partitions_, row_bytes, iter == 0));
-    job.Accumulate(model.TreeAggregate(result_bytes));
-    job.jobs = 1;
-    result.stats.Accumulate(job);
-
-    result.clustering.inertia = inertia;
-    result.clustering.inertia_history.push_back(inertia);
-    ++result.clustering.iterations;
-    const double improvement =
-        (previous_inertia - inertia) / std::max(1.0, previous_inertia);
-    if (iter > 0 && improvement >= 0 && improvement < options.tolerance) {
-      result.clustering.converged = true;
-      break;
-    }
-    previous_inertia = inertia;
-  }
-  result.clustering.centers = std::move(centers);
-  return result;
+  return DriveKMeans(this, options_.config, dataset_.features(), options);
 }
 
 Status ProcessFleet::Shutdown() {
@@ -616,9 +395,9 @@ void ProcessFleet::WorkerMain(size_t worker) {
   region.mapping = &dataset.mapping();
   region.base_offset = dataset.meta().features_offset;
   region.row_bytes = dataset.cols() * sizeof(double);
-  PartitionExecutor executor(partitions_, options_.config, region);
-  const la::ConstMatrixView x = dataset.features();
-  const la::ConstVectorView y(labels.data(), labels.size());
+  PartitionExecutor executor(partitions_, options_.config, region,
+                             dataset.features(),
+                             la::ConstVectorView(labels.data(), labels.size()));
   const size_t stats_offset = worker_chunks_[worker] * max_partial_bytes_;
 
   // Serializes this job's InstanceExecStats into the slot's stats region
@@ -664,118 +443,22 @@ void ProcessFleet::WorkerMain(size_t worker) {
         ::usleep(100000);  // fault injection: never complete
       }
     }
-    uint64_t used = 0;
     const uint8_t* broadcast = channel_->broadcast();
-    uint8_t* slot = channel_->slot(worker);
-    if (kind == io::ShmChannel::kJobLrGradient) {
-      uint64_t weights = 0;
-      std::memcpy(&weights, broadcast, sizeof(weights));
-      la::Vector w(static_cast<size_t>(weights));
-      // m3-aligned: broadcast() is page-aligned; sizeof(weights) == 8.
-      const double* payload =
-          reinterpret_cast<const double*>(broadcast + sizeof(weights));
-      for (size_t i = 0; i < weights; ++i) {
-        w[i] = payload[i];
-      }
-      ml::LogisticRegressionObjective objective(x, y, /*l2=*/0.0);
-      struct Partial {
-        double loss = 0;
-        la::Vector grad;
-      };
-      const size_t stride = (weights + 1) * sizeof(double);
-      JobStats job;
-      executor.RunInstanceJob<Partial>(
-          worker,
-          [&](const Partition&, size_t row_begin, size_t row_end) {
-            Partial partial;
-            partial.grad = la::Vector(static_cast<size_t>(weights));
-            partial.loss = objective.EvaluateChunk(row_begin, row_end, w,
-                                                   partial.grad.View());
-            return partial;
-          },
-          [&](size_t, size_t, Partial&& partial) {
-            // m3-aligned: slot() is page-aligned; used advances by
-            // stride, a multiple of 8.
-            double* out = reinterpret_cast<double*>(slot + used);
-            out[0] = partial.loss;
-            for (size_t i = 0; i < weights; ++i) {
-              out[1 + i] = partial.grad[i];
-            }
-            used += stride;
-          },
-          &job);
-      write_stats(job);
-    } else if (kind == io::ShmChannel::kJobKMeansIteration) {
-      uint64_t k = 0;
-      uint64_t dims = 0;
-      std::memcpy(&k, broadcast, sizeof(k));
-      std::memcpy(&dims, broadcast + 8, sizeof(dims));
-      la::Matrix centers(k, dims);
-      // m3-aligned: broadcast() is page-aligned; 16 is a multiple of 8.
-      const double* payload =
-          reinterpret_cast<const double*>(broadcast + 16);
-      for (size_t c = 0; c < k; ++c) {
-        la::VectorView row = centers.Row(c);
-        for (size_t j = 0; j < dims; ++j) {
-          row[j] = payload[c * dims + j];
-        }
-      }
-      struct Partial {
-        la::Matrix sums;
-        std::vector<uint64_t> counts;
-        double inertia = 0;
-      };
-      const size_t stride =
-          sizeof(double) * (1 + k * dims) + sizeof(uint64_t) * k;
-      JobStats job;
-      executor.RunInstanceJob<Partial>(
-          worker,
-          [&](const Partition&, size_t row_begin, size_t row_end) {
-            Partial partial;
-            partial.sums = la::Matrix(k, dims);
-            partial.counts.assign(k, 0);
-            for (size_t r = row_begin; r < row_end; ++r) {
-              size_t best = 0;
-              double best_dist2 =
-                  la::SquaredDistance(x.Row(r), centers.Row(0));
-              for (size_t c = 1; c < k; ++c) {
-                const double dist2 =
-                    la::SquaredDistance(x.Row(r), centers.Row(c));
-                if (dist2 < best_dist2) {
-                  best_dist2 = dist2;
-                  best = c;
-                }
-              }
-              partial.inertia += best_dist2;
-              la::Axpy(1.0, x.Row(r), partial.sums.Row(best));
-              ++partial.counts[best];
-            }
-            return partial;
-          },
-          [&](size_t, size_t, Partial&& partial) {
-            // m3-aligned: slot() is page-aligned; used advances by
-            // stride, a multiple of 8.
-            uint8_t* out = slot + used;
-            double* values = reinterpret_cast<double*>(out);
-            values[0] = partial.inertia;
-            for (size_t c = 0; c < k; ++c) {
-              const la::ConstVectorView row = partial.sums.Row(c);
-              for (size_t j = 0; j < dims; ++j) {
-                values[1 + c * dims + j] = row[j];
-              }
-            }
-            // m3-aligned: out is 8-aligned; the counts offset is a
-            // multiple of sizeof(double).
-            uint64_t* out_counts = reinterpret_cast<uint64_t*>(
-                out + sizeof(double) * (1 + k * dims));
-            for (size_t c = 0; c < k; ++c) {
-              out_counts[c] = partial.counts[c];
-            }
-            used += stride;
-          },
-          &job);
-      write_stats(job);
-    }
+    uint64_t header[2] = {0, 0};
+    std::memcpy(header, broadcast, kJobHeaderBytes);
+    ChunkJob job;
+    job.kind = kind;
+    job.k = header[0];
+    job.num_params = header[1];
+    // m3-aligned: broadcast() is page-aligned; the header is two u64s.
+    job.params = reinterpret_cast<const double*>(broadcast + kJobHeaderBytes);
+    JobStats stats;
+    // m3-aligned: slot() is page-aligned; partials are whole 8-byte words.
+    executor.RunLane(worker, job,
+                     reinterpret_cast<double*>(channel_->slot(worker)), &stats);
+    write_stats(stats);
+    const uint64_t used =
+        worker_chunks_[worker] * job.PartialBytes(dataset.cols());
     channel_->CompleteJob(worker, seq, used);
   }
   if (tracing) {

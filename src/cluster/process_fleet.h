@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/cluster_config.h"
+#include "cluster/driver.h"
 #include "cluster/partition.h"
 #include "cluster/spark_cluster.h"
 #include "core/mapped_dataset.h"
@@ -48,25 +49,28 @@ struct FleetOptions {
   size_t max_kmeans_k = 64;
 };
 
-/// \brief A real multi-process execution fleet: SparkCluster's driver
-/// programs with partition tasks running in forked worker processes.
+/// \brief A real multi-process execution fleet: the shared distributed
+/// drivers (cluster::DriveLogisticRegression, cluster::DriveKMeans) with
+/// partition tasks running in forked worker processes.
 ///
-/// Where SparkCluster *simulates* N instances inside one process (the fast
-/// tier-1 path), ProcessFleet forks one worker per instance. Each worker
-/// mmaps the dataset itself and drives its instance's partitions through
-/// its own per-partition `exec::ChunkPipeline`s
-/// (PartitionExecutor::RunInstanceJob) — so the workers genuinely compete
-/// for the machine's page cache, which is the contention the M3 paper's
-/// memory-mapping argument is about. Coordination runs over an
-/// `io::ShmChannel` (fork-shared control block + result slots + pipe
-/// doorbells) created before the fork.
+/// Where SparkCluster runs the drivers over an in-process
+/// PartitionExecutor (the fast tier-1 path), ProcessFleet is itself the
+/// JobExecutor: it forks one worker per instance. Each worker mmaps the
+/// dataset itself and drives its instance's partitions through its own
+/// per-partition `exec::ChunkPipeline`s (PartitionExecutor::RunLane) — so
+/// the workers genuinely compete for the machine's page cache, which is
+/// the contention the M3 paper's memory-mapping argument is about.
+/// Coordination runs over an `io::ShmChannel` (fork-shared control block
+/// + result slots + pipe doorbells) created before the fork.
 ///
-/// DETERMINISM: workers ship raw per-chunk partials — never pre-folded
-/// sums — and the parent folds them in exactly the simulator's order
-/// (partitions in the strided task order, chunks ascending within each
-/// partition), using the same la:: kernels. LR weights and k-means
-/// centers are therefore bitwise identical to SparkCluster's at every
-/// fleet size.
+/// DETERMINISM: the parent broadcasts each job's parameters; workers run
+/// the same per-chunk kernel as the simulator (cluster::RunChunkKernel)
+/// and write raw per-chunk partials — never pre-folded sums — straight
+/// into their result slots; the parent folds them in the simulator's
+/// order (partitions in the strided task order, chunks ascending within
+/// each partition). The driver, kernel, partial layout and fold order
+/// are the simulator's own, so LR weights and k-means centers are bitwise
+/// identical to SparkCluster's at every fleet size by construction.
 ///
 /// CRASHES: a worker death (any cause — the write end of its result pipe
 /// closes with it) or a phase-deadline miss fails the run with a Status
@@ -75,10 +79,12 @@ struct FleetOptions {
 /// last_run_stats(), and every later Run* returns FailedPrecondition.
 /// Spawn a fresh fleet to retry.
 ///
-/// FORK SAFETY: Spawn() forks; call it before the parent process creates
-/// any threads (trace sessions, pipelines, thread pools). The parent's
-/// own trace/pools start inside Run*, after the fork.
-class ProcessFleet {
+/// FORK SAFETY: Spawn() forks. util::GlobalThreadPool() rebuilds itself
+/// in a forked child, so a parent that already ran parallel kernels can
+/// spawn safely; other parent threads (trace sessions, pipelines, private
+/// thread pools) must not be running at Spawn(). The parent's own
+/// trace/pools start inside Run*, after the fork.
+class ProcessFleet : private JobExecutor {
  public:
   /// Opens the dataset, plans partitions (identically to
   /// SparkCluster::PlanPartitions), sizes and maps the shm channel, forks
@@ -109,7 +115,9 @@ class ProcessFleet {
   /// after Shutdown() or a failed run.
   const std::vector<pid_t>& pids() const { return pids_; }
 
-  const std::vector<Partition>& partitions() const { return partitions_; }
+  const std::vector<Partition>& partitions() const override {
+    return partitions_;
+  }
   size_t num_workers() const { return options_.config.num_instances; }
   bool alive() const { return alive_; }
 
@@ -118,8 +126,6 @@ class ProcessFleet {
   const JobStats& last_run_stats() const { return last_run_stats_; }
 
  private:
-  friend class FleetLrObjective;
-
   ProcessFleet(MappedDataset dataset, std::string dataset_path,
                const FleetOptions& options);
 
@@ -127,15 +133,17 @@ class ProcessFleet {
   /// barrier.
   util::Status Start();
 
-  /// Publishes one job, waits for the whole fleet under the shared phase
-  /// deadline, and parses worker stats into `job`. On any death/timeout:
-  /// kills the fleet, records `last_run_stats_`, returns the error.
+  /// Publishes one job (its payload already in the broadcast region),
+  /// waits for the whole fleet under the shared phase deadline, and
+  /// parses worker stats into `job`. On any death/timeout: kills the
+  /// fleet, records `last_run_stats_`, returns the error.
   util::Status RunPhase(uint64_t kind, uint64_t payload_len, JobStats* job);
 
-  /// One LR gradient evaluation: broadcast `w`, RunPhase, fold partials
-  /// into `grad`/`loss` in simulator order, charge simulated time.
-  util::Status RunLrGradient(la::ConstVectorView w, la::VectorView grad,
-                             double* loss, bool first_pass, JobStats* job);
+  /// JobExecutor: broadcasts `job`'s parameters, runs the phase, and folds
+  /// the workers' slots in `fold_order_`.
+  util::Status RunJob(const ChunkJob& job, const FoldFn& fold,
+                      JobStats* stats) override;
+  double PredictExecSeconds(uint64_t row_bytes, bool cold) const override;
 
   /// SIGKILLs and reaps every live worker; returns a per-worker exit
   /// description for error messages. Leaves the fleet not-alive.

@@ -1,15 +1,8 @@
 #include "cluster/spark_cluster.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 #include "cluster/partition_executor.h"
-#include "cluster/sim_clock.h"
-#include "la/blas.h"
-#include "obs/trace_recorder.h"
-#include "obs/trace_session.h"
-#include "util/random.h"
 
 namespace m3::cluster {
 
@@ -17,92 +10,6 @@ using util::Result;
 using util::Status;
 
 namespace {
-
-/// Driver-side objective that evaluates the data term partition by
-/// partition (real math through the partition executor's pipelines) and
-/// charges simulated cluster time per job.
-class DistributedLrObjective final : public ml::DifferentiableFunction {
- public:
-  DistributedLrObjective(la::ConstMatrixView x, la::ConstVectorView y,
-                         double l2, PartitionExecutor* executor,
-                         const ClusterConfig& config, JobStats* stats)
-      : data_objective_(x, y, /*l2=*/0.0),
-        x_(x),
-        l2_(l2),
-        executor_(executor),
-        config_(config),
-        model_(config),
-        stats_(stats) {}
-
-  size_t Dimension() const override { return x_.cols() + 1; }
-
-  double EvaluateWithGradient(la::ConstVectorView w,
-                              la::VectorView grad) override {
-    // One gradient evaluation == one driver job (stage boundary).
-    obs::ScopedSpan job_span("cluster", "lr_gradient_job");
-    grad.SetZero();
-    // Real per-partition gradient tasks: chunk partials computed (possibly
-    // on pipeline workers), folded on this thread in the executor's fixed
-    // strided task order — the deterministic reduce order. The pipelines
-    // only accelerate/measure the simulation's execution; simulated time
-    // still comes from the cost model.
-    struct Partial {
-      double loss = 0;
-      la::Vector grad;
-    };
-    double loss = 0;
-    JobStats job;
-    executor_->RunJob<Partial>(
-        [&](const Partition&, size_t row_begin, size_t row_end) {
-          Partial partial;
-          partial.grad = la::Vector(w.size());
-          partial.loss = data_objective_.EvaluateChunk(row_begin, row_end, w,
-                                                       partial.grad.View());
-          return partial;
-        },
-        [&](const Partition&, Partial&& partial) {
-          loss += partial.loss;
-          la::Axpy(1.0, partial.grad, grad);
-        },
-        &job);
-    // Driver adds the ridge term (as MLlib's updater does).
-    const size_t d = x_.cols();
-    if (l2_ > 0) {
-      la::ConstVectorView weights = w.Slice(0, d);
-      loss += 0.5 * l2_ * la::Dot(weights, weights);
-      la::Axpy(l2_, weights, grad.Slice(0, d));
-    }
-
-    // Charge simulated time: broadcast w, run the stage, tree-aggregate
-    // the (d+1)-gradient + loss.
-    const uint64_t row_bytes = x_.cols() * sizeof(double);
-    const uint64_t result_bytes = (Dimension() + 1) * sizeof(double);
-    // Calibration report card: what the measured-calibrated model
-    // predicts this job's pipeline execution cost on this machine, next
-    // to what RunJob just measured (0 until a calibration is installed).
-    job.predicted_exec_seconds =
-        executor_->PredictJobExecSeconds(row_bytes, first_pass_);
-    job.Accumulate(model_.Broadcast(result_bytes));
-    job.Accumulate(model_.StageCost(executor_->partitions(), row_bytes,
-                                    first_pass_));
-    job.Accumulate(model_.TreeAggregate(result_bytes));
-    // Accumulate() sums `jobs` from parts; a gradient evaluation is one job.
-    job.jobs = 1;
-    stats_->Accumulate(job);
-    first_pass_ = false;
-    return loss;
-  }
-
- private:
-  ml::LogisticRegressionObjective data_objective_;
-  la::ConstMatrixView x_;
-  double l2_;
-  PartitionExecutor* executor_;
-  const ClusterConfig& config_;
-  StageCostModel model_;
-  JobStats* stats_;
-  bool first_pass_ = true;
-};
 
 /// A bound region must describe the same rows the matrix view exposes —
 /// otherwise the measured path silently prefetches and evicts the wrong
@@ -150,160 +57,20 @@ Result<DistributedLrResult> SparkCluster::RunLogisticRegression(
     return Status::InvalidArgument("labels size does not match rows");
   }
   M3_RETURN_IF_ERROR(ValidateRegion(data, x.rows(), x.cols()));
-
-  if (!config_.exec.trace_path.empty()) {
-    obs::StartGlobalTrace(config_.exec.trace_path);
-  }
-  obs::ScopedSpan run_span("cluster", "logistic_regression");
-  if (run_span.armed()) {
-    run_span.AddArg("rows", static_cast<uint64_t>(x.rows()));
-    run_span.AddArg("instances",
-                    static_cast<uint64_t>(config_.num_instances));
-  }
-  DistributedLrResult result;
-  const uint64_t row_bytes = x.cols() * sizeof(double);
-  PartitionExecutor executor(PlanPartitions(x.rows(), row_bytes), config_,
-                             data);
-  DistributedLrObjective objective(x, y, l2, &executor, config_,
-                                   &result.stats);
-  la::Vector params(x.cols() + 1);
-  ml::Lbfgs optimizer(optimizer_options);
-  M3_ASSIGN_OR_RETURN(result.optimization,
-                      optimizer.Minimize(&objective, params));
-  result.model.weights = la::Vector(x.cols());
-  la::Copy(params.View().Slice(0, x.cols()), result.model.weights);
-  result.model.intercept = params[x.cols()];
-  return result;
+  PartitionExecutor executor(
+      PlanPartitions(x.rows(), x.cols() * sizeof(double)), config_, data, x, y);
+  return DriveLogisticRegression(&executor, config_, x, l2, optimizer_options);
 }
 
 Result<DistributedKMeansResult> SparkCluster::RunKMeans(
     la::ConstMatrixView x, ml::KMeansOptions options,
     const exec::MappedRegion& data) const {
   M3_RETURN_IF_ERROR(config_.Validate());
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-  const size_t k = options.k;
-  if (n == 0 || d == 0) {
-    return Status::InvalidArgument("empty data");
-  }
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("k must be in [1, rows]");
-  }
-  M3_RETURN_IF_ERROR(ValidateRegion(data, n, d));
-
-  if (!config_.exec.trace_path.empty()) {
-    obs::StartGlobalTrace(config_.exec.trace_path);
-  }
-  obs::ScopedSpan run_span("cluster", "kmeans");
-  if (run_span.armed()) {
-    run_span.AddArg("rows", static_cast<uint64_t>(n));
-    run_span.AddArg("k", static_cast<uint64_t>(k));
-  }
-  DistributedKMeansResult result;
-  const uint64_t row_bytes = d * sizeof(double);
-  PartitionExecutor executor(PlanPartitions(n, row_bytes), config_, data);
-  StageCostModel model(config_);
-
-  // Initialization: reuse the single-machine seeding (it touches a bounded
-  // sample; MLlib similarly samples for kmeans||). Simulated cost: one
-  // bounded-sample stage.
-  // Identical seeding to the single-machine implementation: both sides of
-  // the Fig. 1b comparison start from the same centers.
-  M3_ASSIGN_OR_RETURN(la::Matrix centers, ml::KMeans::SeedCenters(x, options));
-
-  const uint64_t centers_bytes = k * d * sizeof(double);
-  const uint64_t result_bytes = centers_bytes + k * sizeof(uint64_t);
-
-  la::Matrix sums(k, d);
-  std::vector<uint64_t> counts(k);
-  util::Rng rng(options.seed);
-  double previous_inertia = std::numeric_limits<double>::max();
-
-  // Per-chunk assignment + accumulation partial (the task result a real
-  // executor would send back to the driver for its rows).
-  struct Partial {
-    la::Matrix sums;
-    std::vector<uint64_t> counts;
-    double inertia = 0;
-  };
-
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    obs::ScopedSpan iter_span("cluster", "kmeans_iteration");
-    if (iter_span.armed()) {
-      iter_span.AddArg("iteration", static_cast<uint64_t>(iter));
-    }
-    sums.SetZero();
-    std::fill(counts.begin(), counts.end(), 0);
-    double inertia = 0;
-    JobStats job;
-    // Real per-partition assignment + accumulation tasks; centers are
-    // read-only for the whole job, partials fold in task order.
-    executor.RunJob<Partial>(
-        [&](const Partition&, size_t row_begin, size_t row_end) {
-          Partial partial;
-          partial.sums = la::Matrix(k, d);
-          partial.counts.assign(k, 0);
-          for (size_t r = row_begin; r < row_end; ++r) {
-            size_t best = 0;
-            double best_dist2 =
-                la::SquaredDistance(x.Row(r), centers.Row(0));
-            for (size_t c = 1; c < k; ++c) {
-              const double dist2 =
-                  la::SquaredDistance(x.Row(r), centers.Row(c));
-              if (dist2 < best_dist2) {
-                best_dist2 = dist2;
-                best = c;
-              }
-            }
-            partial.inertia += best_dist2;
-            la::Axpy(1.0, x.Row(r), partial.sums.Row(best));
-            ++partial.counts[best];
-          }
-          return partial;
-        },
-        [&](const Partition&, Partial&& partial) {
-          inertia += partial.inertia;
-          for (size_t c = 0; c < k; ++c) {
-            la::Axpy(1.0, partial.sums.Row(c), sums.Row(c));
-            counts[c] += partial.counts[c];
-          }
-        },
-        &job);
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] > 0) {
-        la::Copy(sums.Row(c), centers.Row(c));
-        la::Scal(1.0 / static_cast<double>(counts[c]), centers.Row(c));
-      } else {
-        const size_t row = static_cast<size_t>(rng.UniformInt(uint64_t{n}));
-        la::Copy(x.Row(row), centers.Row(c));
-      }
-    }
-
-    // Simulated time: broadcast centers, stage, aggregate partials —
-    // plus the calibrated model's prediction of the job's measured
-    // pipeline execution (0 until a calibration is installed).
-    job.predicted_exec_seconds =
-        executor.PredictJobExecSeconds(row_bytes, iter == 0);
-    job.Accumulate(model.Broadcast(centers_bytes));
-    job.Accumulate(model.StageCost(executor.partitions(), row_bytes,
-                                   iter == 0));
-    job.Accumulate(model.TreeAggregate(result_bytes));
-    job.jobs = 1;
-    result.stats.Accumulate(job);
-
-    result.clustering.inertia = inertia;
-    result.clustering.inertia_history.push_back(inertia);
-    ++result.clustering.iterations;
-    const double improvement =
-        (previous_inertia - inertia) / std::max(1.0, previous_inertia);
-    if (iter > 0 && improvement >= 0 && improvement < options.tolerance) {
-      result.clustering.converged = true;
-      break;
-    }
-    previous_inertia = inertia;
-  }
-  result.clustering.centers = std::move(centers);
-  return result;
+  M3_RETURN_IF_ERROR(ValidateRegion(data, x.rows(), x.cols()));
+  PartitionExecutor executor(
+      PlanPartitions(x.rows(), x.cols() * sizeof(double)), config_, data, x,
+      la::ConstVectorView());
+  return DriveKMeans(&executor, config_, x, options);
 }
 
 }  // namespace m3::cluster

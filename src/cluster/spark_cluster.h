@@ -4,38 +4,28 @@
 #include <vector>
 
 #include "cluster/cluster_config.h"
+#include "cluster/driver.h"
 #include "cluster/partition.h"
 #include "exec/chunk_pipeline.h"
 #include "la/matrix.h"
 #include "ml/kmeans.h"
 #include "ml/lbfgs.h"
-#include "ml/logistic_regression.h"
 #include "util/result.h"
 
 namespace m3::cluster {
 
-/// \brief Result of a distributed logistic-regression run.
-struct DistributedLrResult {
-  ml::LogisticRegressionModel model;
-  ml::OptimizationResult optimization;
-  JobStats stats;  ///< simulated cluster time breakdown
-};
-
-/// \brief Result of a distributed k-means run.
-struct DistributedKMeansResult {
-  ml::KMeansResult clustering;
-  JobStats stats;
-};
-
 /// \brief The simulated Spark cluster (MLlib-style driver programs).
 ///
-/// Executes the real distributed algorithms over real data — per-partition
+/// Runs the shared distributed drivers (cluster::DriveLogisticRegression,
+/// cluster::DriveKMeans) over an in-process PartitionExecutor: per-partition
 /// tasks compute actual gradients/assignments, the driver actually reduces
-/// them — while charging wall time from the calibrated ClusterConfig cost
+/// them, while wall time is charged from the calibrated ClusterConfig cost
 /// model instead of EC2 (see the substitution note in cluster_config.h and
 /// DESIGN.md §3). Numerical results therefore agree with the
 /// single-machine implementations, and `stats.simulated_seconds` plays the
-/// role of the paper's measured Spark runtimes.
+/// role of the paper's measured Spark runtimes. ProcessFleet runs the same
+/// drivers over forked workers, so its results equal these by
+/// construction.
 ///
 /// TIME IN JobStats COMES FROM TWO PLACES — read them differently:
 ///

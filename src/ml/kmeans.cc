@@ -17,24 +17,6 @@ using util::Status;
 
 namespace {
 
-/// Index of the nearest center to `point` (and the squared distance).
-size_t NearestCenter(la::ConstVectorView point, la::ConstMatrixView centers,
-                     double* dist2_out) {
-  size_t best = 0;
-  double best_dist2 = la::SquaredDistance(point, centers.Row(0));
-  for (size_t c = 1; c < centers.rows(); ++c) {
-    const double dist2 = la::SquaredDistance(point, centers.Row(c));
-    if (dist2 < best_dist2) {
-      best_dist2 = dist2;
-      best = c;
-    }
-  }
-  if (dist2_out != nullptr) {
-    *dist2_out = best_dist2;
-  }
-  return best;
-}
-
 /// kmeans++ seeding (Arthur & Vassilvitskii) on `sample` rows.
 la::Matrix KMeansPlusPlus(la::ConstMatrixView x,
                           const std::vector<size_t>& sample, size_t k,
@@ -84,6 +66,23 @@ struct AssignPartial {
 }  // namespace
 
 KMeans::KMeans(KMeansOptions options) : options_(std::move(options)) {}
+
+size_t KMeans::NearestCenter(la::ConstVectorView point,
+                             la::ConstMatrixView centers, double* dist2_out) {
+  size_t best = 0;
+  double best_dist2 = la::SquaredDistance(point, centers.Row(0));
+  for (size_t c = 1; c < centers.rows(); ++c) {
+    const double dist2 = la::SquaredDistance(point, centers.Row(c));
+    if (dist2 < best_dist2) {
+      best_dist2 = dist2;
+      best = c;
+    }
+  }
+  if (dist2_out != nullptr) {
+    *dist2_out = best_dist2;
+  }
+  return best;
+}
 
 std::vector<uint32_t> KMeans::Assign(la::ConstMatrixView x,
                                      la::ConstMatrixView centers) {

@@ -66,6 +66,12 @@ class KMeans {
   static util::Result<la::Matrix> SeedCenters(la::ConstMatrixView x,
                                               const KMeansOptions& options);
 
+  /// Index of the row of `centers` nearest to `point` (ties go to the
+  /// lower index); stores the squared distance in `*dist2_out` when
+  /// non-null. The one assignment rule of every k-means driver.
+  static size_t NearestCenter(la::ConstVectorView point,
+                              la::ConstMatrixView centers, double* dist2_out);
+
   const KMeansOptions& options() const { return options_; }
 
  private:

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 namespace m3::util {
@@ -65,10 +67,39 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+
+// fork() copies the global pool object but none of its threads: a child
+// that submitted to it would block forever on tasks nobody runs. The
+// child handler drops the inherited pool (leaked — its threads and locks
+// belong to the parent), so the child's first GlobalThreadPool() builds a
+// fresh one. prepare/parent hold the lock across fork so the child never
+// inherits it mid-construction.
+std::mutex global_pool_mu;
+ThreadPool* global_pool = nullptr;  // guarded by global_pool_mu
+
+void LockGlobalPoolForFork() { global_pool_mu.lock(); }
+void UnlockGlobalPoolAfterFork() { global_pool_mu.unlock(); }
+void DropGlobalPoolInChild() {
+  global_pool = nullptr;
+  global_pool_mu.unlock();
+}
+
+}  // namespace
+
 ThreadPool& GlobalThreadPool() {
-  static ThreadPool* pool =
-      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
-  return *pool;
+  static bool fork_handlers_registered = false;
+  std::lock_guard<std::mutex> lock(global_pool_mu);
+  if (global_pool == nullptr) {
+    if (!fork_handlers_registered) {
+      fork_handlers_registered =
+          ::pthread_atfork(LockGlobalPoolForFork, UnlockGlobalPoolAfterFork,
+                           DropGlobalPoolInChild) == 0;
+    }
+    global_pool =
+        new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return *global_pool;
 }
 
 std::vector<std::pair<size_t, size_t>> PartitionRange(size_t begin,

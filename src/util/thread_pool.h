@@ -51,7 +51,9 @@ class ThreadPool {
 /// \brief Process-wide pool sized to the hardware concurrency.
 ///
 /// Lazily constructed on first use; shared by parallel kernels so that
-/// nested parallel sections do not oversubscribe the machine.
+/// nested parallel sections do not oversubscribe the machine. Fork-safe:
+/// a forked child does not inherit the parent's pool (whose threads did
+/// not survive the fork) and lazily builds its own.
 ThreadPool& GlobalThreadPool();
 
 /// \brief Runs fn(begin..end) partitioned across the pool in contiguous

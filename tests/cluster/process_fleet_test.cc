@@ -211,6 +211,47 @@ TEST_F(ProcessFleetTest, KMeansBitwiseMatchesSimulatorAcrossFleetSizes) {
   }
 }
 
+TEST_F(ProcessFleetTest, SpawnAfterGlobalPoolUseMatchesSimulator) {
+  // Regression: fork() copies util::GlobalThreadPool() but not its
+  // threads. A fleet spawned after the parent had used the pool got
+  // workers that blocked forever on their first parallel chunk kernel
+  // (more than 512 rows per chunk) and failed on the phase deadline.
+  data::SeparableResult sep = data::LinearlySeparable(4096, 8, 0.05, 11);
+  const std::string path = dir_ + "/wide_chunks.m3";
+  ASSERT_TRUE(data::WriteDataset(path, sep.data.features, sep.data.labels,
+                                 2)
+                  .ok());
+  // Two partitions of 2048 rows, scanned in 1024-row chunks.
+  ClusterConfig config = FleetConfig(2, /*pipelines=*/true,
+                                     /*chunk_rows=*/1024);
+  config.cores_per_instance = 1;
+  config.partitions_per_core = 1;
+
+  // The simulator runs first, so the parent's global pool is live (and
+  // has run the same >512-row chunk kernels) when the fleet forks.
+  auto dataset = MappedDataset::Open(path).ValueOrDie();
+  const std::vector<double> labels = dataset.CopyLabels();
+  const la::ConstVectorView y(labels.data(), labels.size());
+  auto baseline = SparkCluster(config)
+                      .RunLogisticRegression(dataset.features(), y, 1e-4,
+                                             FixedLbfgs(), RegionOf(dataset))
+                      .ValueOrDie();
+
+  FleetOptions fleet_options;
+  fleet_options.config = config;
+  fleet_options.phase_deadline_seconds = 20;
+  auto fleet = ProcessFleet::Spawn(path, fleet_options).ValueOrDie();
+  auto result = fleet->RunLogisticRegression(1e-4, FixedLbfgs());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(BitwiseEqual(baseline.model.weights,
+                           result.value().model.weights));
+  EXPECT_EQ(std::memcmp(&baseline.model.intercept,
+                        &result.value().model.intercept, sizeof(double)),
+            0);
+  EXPECT_TRUE(fleet->Shutdown().ok());
+  ExpectNoChildren();
+}
+
 // ---------------------------------------------------------------------------
 // Crash and hang injection
 // ---------------------------------------------------------------------------

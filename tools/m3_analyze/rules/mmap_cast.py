@@ -36,6 +36,7 @@ AUDITED_PATHS = (
     "src/graph/edge_list",
     "src/core/mapped_dataset",
     "src/core/sparse_mapped_dataset",
+    "src/cluster/driver",
     "src/cluster/process_fleet",
 )
 
