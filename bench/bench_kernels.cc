@@ -6,17 +6,22 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "io/file.h"
 #include "io/mmap_file.h"
 #include "la/blas.h"
 #include "la/matrix.h"
+#include "la/sparse.h"
+#include "ml/kmeans.h"
 #include "util/random.h"
 
 namespace m3 {
@@ -163,8 +168,61 @@ void BM_SquaredDistance(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(la::SquaredDistance(a, b));
   }
+  state.SetBytesProcessed(state.iterations() * kCols * 16);
 }
 BENCHMARK(BM_SquaredDistance);
+
+// One CSR row of the benchmark's sparse shape: 32 nonzeros over 65,536
+// columns. Bytes count the column index, the value and the gathered
+// weight of each nonzero.
+void BM_SparseDot(benchmark::State& state) {
+  constexpr size_t kSparseCols = 1 << 16;
+  constexpr size_t kNnz = 32;
+  util::Rng rng(7);
+  std::set<uint32_t> picked;
+  while (picked.size() < kNnz) {
+    picked.insert(static_cast<uint32_t>(rng.UniformInt(kSparseCols)));
+  }
+  const std::vector<uint32_t> cols(picked.begin(), picked.end());
+  std::vector<double> values(kNnz);
+  for (double& v : values) {
+    v = rng.Uniform(-1.0, 1.0);
+  }
+  la::Vector w(kSparseCols);
+  for (size_t j = 0; j < kSparseCols; ++j) {
+    w[j] = rng.Uniform(-1.0, 1.0);
+  }
+  const la::SparseRowView row{cols.data(), values.data(), kNnz};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(la::SparseDot(row, w));
+  }
+  state.SetBytesProcessed(state.iterations() * kNnz *
+                          (sizeof(uint32_t) + 2 * sizeof(double)));
+}
+BENCHMARK(BM_SparseDot);
+
+// The k-means assignment step: one InfiMNIST-style row against k = 5
+// centers, as in the paper's Fig. 1b.
+void BM_NearestCenter(benchmark::State& state) {
+  constexpr size_t kCenters = 5;
+  util::Rng rng(11);
+  la::Matrix centers(kCenters, kCols);
+  la::Vector point(kCols);
+  for (size_t c = 0; c < kCols; ++c) {
+    point[c] = rng.Uniform(0, 255);
+    for (size_t k = 0; k < kCenters; ++k) {
+      centers(k, c) = rng.Uniform(0, 255);
+    }
+  }
+  for (auto _ : state) {
+    double dist2 = 0;
+    benchmark::DoNotOptimize(
+        ml::KMeans::NearestCenter(point, centers, &dist2));
+    benchmark::DoNotOptimize(dist2);
+  }
+  state.SetBytesProcessed(state.iterations() * kCenters * kCols * 16);
+}
+BENCHMARK(BM_NearestCenter);
 
 }  // namespace
 }  // namespace m3

@@ -10,7 +10,7 @@
 // Before any timing, a conformance gate trains nothing but evaluates one
 // loss+gradient on both representations chunked identically: the results
 // must agree to the last bit (sparse kernels are the dense kernels minus
-// the zero terms, in the same order). A mismatch exits nonzero — this
+// the zero terms, into the same lanes). A mismatch exits nonzero — this
 // bench doubles as the nightly's sparse/dense drift tripwire.
 
 #include <algorithm>

@@ -5,19 +5,17 @@
 #include <mutex>
 #include <vector>
 
+#include "la/lanes.h"
+
 namespace m3::la {
 
 double Dot(ConstVectorView x, ConstVectorView y) {
   M3_CHECK(x.size() == y.size(), "Dot size mismatch %zu vs %zu", x.size(),
            y.size());
-  double acc = 0.0;
-  const size_t n = x.size();
   const double* px = x.data();
   const double* py = y.data();
-  for (size_t i = 0; i < n; ++i) {
-    acc += px[i] * py[i];
-  }
-  return acc;
+  return internal::LaneSum(x.size(),
+                           [px, py](size_t i) { return px[i] * py[i]; });
 }
 
 void Axpy(double alpha, ConstVectorView x, VectorView y) {
@@ -59,15 +57,12 @@ double AbsMax(ConstVectorView x) {
 
 double SquaredDistance(ConstVectorView x, ConstVectorView y) {
   M3_CHECK(x.size() == y.size(), "SquaredDistance size mismatch");
-  double acc = 0.0;
-  const size_t n = x.size();
   const double* px = x.data();
   const double* py = y.data();
-  for (size_t i = 0; i < n; ++i) {
+  return internal::LaneSum(x.size(), [px, py](size_t i) {
     const double d = px[i] - py[i];
-    acc += d * d;
-  }
-  return acc;
+    return d * d;
+  });
 }
 
 void Copy(ConstVectorView x, VectorView out) {

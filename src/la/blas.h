@@ -15,6 +15,11 @@ namespace m3::la {
 /// accept views, so they run unchanged on heap memory and mmap'd files.
 
 /// \brief Returns x . y. \pre x.size() == y.size().
+///
+/// Fixed summation order: the term x[j] * y[j] accumulates into lane
+/// j % 8, each lane in ascending j, and the eight lanes combine as
+/// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). la::SparseDot keys its lanes by
+/// column the same way, so the two agree bitwise on densified rows.
 double Dot(ConstVectorView x, ConstVectorView y);
 
 /// \brief y += alpha * x. \pre x.size() == y.size().
@@ -33,6 +38,9 @@ double Sum(ConstVectorView x);
 double AbsMax(ConstVectorView x);
 
 /// \brief || x - y ||^2 without forming the difference.
+///
+/// Same summation order as Dot: (x[j] - y[j])^2 accumulates into lane
+/// j % 8, and the lanes combine as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
 double SquaredDistance(ConstVectorView x, ConstVectorView y);
 
 /// \brief out = x (element copy). \pre same size.

@@ -1,13 +1,15 @@
 #include "la/sparse.h"
 
+#include "la/lanes.h"
+
 namespace m3::la {
 
 double SparseDot(const SparseRowView& x, ConstVectorView w) {
-  double sum = 0.0;
+  double lanes[internal::kLanes] = {};
   for (size_t k = 0; k < x.nnz; ++k) {
-    sum += x.values[k] * w[x.cols[k]];
+    lanes[x.cols[k] % internal::kLanes] += x.values[k] * w[x.cols[k]];
   }
-  return sum;
+  return internal::CombineLanes(lanes);
 }
 
 void SparseAxpy(double alpha, const SparseRowView& x, VectorView y) {

@@ -14,12 +14,12 @@ namespace m3::la {
 /// The sparse twin of the dense-view design point: CsrView is a plain
 /// pointer+shape wrapper over three parallel arrays (`row_ptr`,
 /// `col_idx`, `values`), so a view over heap memory and a view over an
-/// mmap'd CSR file are indistinguishable to the kernels. Kernels are
-/// deliberately simple sequential loops, exactly like the dense ones in
-/// blas.h: a sparse dot over a row's nonzeros performs the same additions
-/// in the same order as a dense dot over the densified row (the zero
-/// terms it skips are additive identities), which is what lets the
-/// conformance suite pin sparse-vs-dense agreement to the last ulp.
+/// mmap'd CSR file are indistinguishable to the kernels. Kernels share
+/// the dense ones' arithmetic in blas.h: a sparse dot over a row's
+/// nonzeros adds the same terms into the same column-keyed lanes as a
+/// dense dot over the densified row (the zero terms it skips are additive
+/// identities), which is what lets the conformance suite pin
+/// sparse-vs-dense agreement to the last ulp.
 
 /// \brief One CSR row: parallel column-index / value arrays of its
 /// stored nonzeros. Column indices are strictly increasing.
@@ -73,9 +73,11 @@ class CsrView {
 
 /// \brief Sparse dot product: sum_k x.values[k] * w[x.cols[k]].
 ///
-/// Accumulates in index order with no unrolling, mirroring la::Dot — the
-/// bitwise twin of Dot(densify(x), w) for any w whose extra entries
-/// multiply zeros.
+/// Summation order is la::Dot's: the term of column c accumulates into
+/// lane c % 8, each lane in ascending column order, and the eight lanes
+/// combine as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). So it is the bitwise
+/// twin of Dot(densify(x), w) for any w whose extra entries multiply
+/// zeros.
 double SparseDot(const SparseRowView& x, ConstVectorView w);
 
 /// \brief Sparse axpy into a dense vector: y[x.cols[k]] += alpha *

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "la/blas.h"
+#include "ml/kmeans.h"
 #include "util/logging.h"
 
 namespace m3::ml {
@@ -54,11 +54,9 @@ double LogLoss(const std::vector<double>& probabilities,
 double Inertia(la::ConstMatrixView x, la::ConstMatrixView centers) {
   double total = 0;
   for (size_t r = 0; r < x.rows(); ++r) {
-    double best = la::SquaredDistance(x.Row(r), centers.Row(0));
-    for (size_t c = 1; c < centers.rows(); ++c) {
-      best = std::min(best, la::SquaredDistance(x.Row(r), centers.Row(c)));
-    }
-    total += best;
+    double dist2 = 0;
+    KMeans::NearestCenter(x.Row(r), centers, &dist2);
+    total += dist2;
   }
   return total;
 }

@@ -20,7 +20,7 @@ namespace m3::ml {
 /// the dense LogisticRegressionObjective — only the per-row kernels
 /// change (la::SparseDot / la::SparseAxpy over stored nonzeros). The
 /// per-row arithmetic performs the dense row's additions minus its zero
-/// terms in the same order, so on a densified copy of the same data the
+/// terms, into the same lanes, so on a densified copy of the same data the
 /// two objectives agree to the last ulp *when chunked identically*
 /// (pass `chunk_rows` > 0 for that mode; the conformance suite does).
 ///

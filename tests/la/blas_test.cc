@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "util/random.h"
 
@@ -69,6 +71,69 @@ TEST(BlasTest, SquaredDistanceMatchesDefinition) {
   Vector x(std::vector<double>{1, 2, 3});
   Vector y(std::vector<double>{2, 0, 3});
   EXPECT_DOUBLE_EQ(SquaredDistance(x, y), 1.0 + 4.0 + 0.0);
+}
+
+/// Values spread over 2^-12 ... 2^12 with random signs, so reordering the
+/// additions changes the rounding.
+Vector SpreadVector(size_t n, util::Rng* rng) {
+  Vector v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = std::ldexp(rng->Uniform(-1.0, 1.0),
+                      static_cast<int>(rng->UniformInt(-12, 12)));
+  }
+  return v;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Checks kernel(x, y) bitwise against the reductions' summation order,
+/// written out here independently of la/lanes.h: term(x[j], y[j])
+/// accumulates into lane j % 8 in ascending j, and the lanes combine as
+/// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). From n = 7 on, inputs are drawn
+/// until a serial sum of the same terms gives different bits, so a kernel
+/// that sums serially fails.
+template <typename Kernel, typename Term>
+void ExpectLaneOrder(Kernel kernel, Term term, uint64_t seed) {
+  util::Rng rng(seed);
+  for (const size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 783, 784, 785}) {
+    bool serial_differs = false;
+    for (int draw = 0; draw < 32 && !serial_differs; ++draw) {
+      const Vector x = SpreadVector(n, &rng);
+      const Vector y = SpreadVector(n, &rng);
+      double lane[8] = {};
+      double serial = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        lane[j % 8] += term(x[j], y[j]);
+        serial += term(x[j], y[j]);
+      }
+      const double reference = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                               ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+      const double got = kernel(x, y);
+      ASSERT_TRUE(SameBits(got, reference))
+          << "n=" << n << ", draw " << draw << ": " << got << " vs "
+          << reference;
+      serial_differs = n < 7 || !SameBits(serial, reference);
+    }
+    EXPECT_TRUE(serial_differs)
+        << "n=" << n << ": no draw told the lane order from a serial sum";
+  }
+}
+
+TEST(BlasTest, DotSumsInColumnLanes) {
+  ExpectLaneOrder([](const Vector& x, const Vector& y) { return Dot(x, y); },
+                  [](double a, double b) { return a * b; }, /*seed=*/81);
+}
+
+TEST(BlasTest, SquaredDistanceSumsInColumnLanes) {
+  ExpectLaneOrder(
+      [](const Vector& x, const Vector& y) { return SquaredDistance(x, y); },
+      [](double a, double b) {
+        const double d = a - b;
+        return d * d;
+      },
+      /*seed=*/91);
 }
 
 TEST(BlasTest, CopyCopies) {

@@ -122,16 +122,21 @@ TEST(DensifyTest, ScattersStoredEntriesAndZeroesTheRest) {
 }
 
 TEST(SparseDotTest, BitwiseMatchesDenseDotOnDensifiedRows) {
-  const size_t kRows = 64, kCols = 40;
-  const Csr csr = RandomCsr(kRows, kCols, 12, /*seed=*/7);
-  const CsrView view = csr.View(kRows);
-  const Matrix dense = Densify(view);
-  const Vector w = RandomVector(kCols, /*seed=*/11);
-  for (size_t r = 0; r < kRows; ++r) {
-    const double sparse = SparseDot(view.Row(r), w);
-    const double reference = Dot(dense.Row(r), w);
-    EXPECT_TRUE(BitwiseEqual(sparse, reference))
-        << "row " << r << ": " << sparse << " vs " << reference;
+  // 40 columns fill whole 8-lane blocks; 37 and 785 leave a tail, whose
+  // columns the dense Dot adds into lanes 0 ... cols % 8 - 1.
+  const size_t kRows = 64;
+  for (const size_t cols : {40, 37, 785}) {
+    const Csr csr = RandomCsr(kRows, cols, cols / 3, /*seed=*/7);
+    const CsrView view = csr.View(kRows);
+    const Matrix dense = Densify(view);
+    const Vector w = RandomVector(cols, /*seed=*/11);
+    for (size_t r = 0; r < kRows; ++r) {
+      const double sparse = SparseDot(view.Row(r), w);
+      const double reference = Dot(dense.Row(r), w);
+      EXPECT_TRUE(BitwiseEqual(sparse, reference))
+          << cols << " cols, row " << r << ": " << sparse << " vs "
+          << reference;
+    }
   }
 }
 

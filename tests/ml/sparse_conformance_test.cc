@@ -2,7 +2,7 @@
 // chunked identically, the sparse LR and softmax objectives must agree
 // with their dense twins to the last ulp — loss, gradient, and the
 // trained model. The sparse kernels perform the dense kernels' additions
-// minus the zero terms, in the same order, and the objectives share the
+// minus the zero terms, into the same lanes, and the objectives share the
 // partition granularity and merge order, so "agree" here means bitwise.
 //
 // Independently, the sparse path must keep the engine's determinism
