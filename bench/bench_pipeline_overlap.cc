@@ -3,12 +3,12 @@
 // (readahead disabled, kRandom advice so the kernel does not prefetch
 // either); the pipelined configurations overlap readahead of chunk i+1
 // with compute on chunk i — one row per prefetch backend (madvise WILLNEED
-// / pread page-cache warming / io_uring batched reads / auto), since on
-// filesystems where WILLNEED is a silent no-op only the explicit-read
-// backends actually overlap. All configurations evict behind the scan
-// under the same budget, so each pass re-reads the evicted bytes from
-// storage — the out-of-core regime where overlap pays — and all must
-// produce bitwise-identical weights: backends move bytes, never values.
+// / pread page-cache warming), since on filesystems where WILLNEED is a
+// silent no-op only the explicit-read backend actually overlaps. All
+// configurations evict behind the scan under the same budget, so each pass
+// re-reads the evicted bytes from storage — the out-of-core regime where
+// overlap pays — and all must produce bitwise-identical weights: backends
+// move bytes, never values.
 
 #include <cstdio>
 #include <cstring>
@@ -65,19 +65,6 @@ bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// The backends this binary compares: always madvise/pread/auto, plus
-/// uring when the build carries it (the runtime fallback would silently
-/// re-measure pread, muddying the comparison on uring-less kernels).
-std::vector<io::PrefetchBackendKind> BackendsToCompare() {
-  std::vector<io::PrefetchBackendKind> kinds = {
-      io::PrefetchBackendKind::kMadvise, io::PrefetchBackendKind::kPread};
-  if (io::UringCompiledIn() && io::UringAvailable()) {
-    kinds.push_back(io::PrefetchBackendKind::kUring);
-  }
-  kinds.push_back(io::PrefetchBackendKind::kAuto);
-  return kinds;
-}
-
 int Run(int argc, char** argv) {
   int64_t size_mb = 96;
   int64_t budget_percent = 25;
@@ -100,7 +87,7 @@ int Run(int argc, char** argv) {
                  "pipelined configuration engine workers");
   flags.AddString("dir", &dir, "scratch directory");
   flags.AddString("backend", &backend,
-                  "prefetch backend to compare: all|madvise|pread|uring|auto");
+                  "prefetch backend to compare: all|madvise|pread");
   flags.AddString("trace", &trace,
                   "write a Chrome trace-event JSON of the run to this path");
   flags.AddBool("csv", &csv, "emit CSV");
@@ -148,7 +135,8 @@ int Run(int argc, char** argv) {
   // how the readahead I/O is issued.
   std::vector<io::PrefetchBackendKind> backends;
   if (backend == "all") {
-    backends = BackendsToCompare();
+    backends = {io::PrefetchBackendKind::kMadvise,
+                io::PrefetchBackendKind::kPread};
   } else {
     auto parsed = io::ParsePrefetchBackendKind(backend);
     if (!parsed.ok()) {
@@ -156,15 +144,6 @@ int Run(int argc, char** argv) {
       return 1;
     }
     backends.push_back(parsed.value());
-  }
-
-  // Report what the WILLNEED-efficacy probe sees on this filesystem (this
-  // is what `auto` keys off; the probe verdict is cached process-wide).
-  {
-    auto probe_data = MappedDataset::Open(path).ValueOrDie();
-    std::printf("probe: %s\n\n",
-                io::ProbePrefetchEfficacy(probe_data.mapping()).ToString()
-                    .c_str());
   }
 
   const EpochResult serial =

@@ -64,7 +64,7 @@ int Run(int argc, char** argv) {
   flags.AddInt64("workers", &workers, "engine workers");
   flags.AddString("dir", &dir, "scratch directory");
   flags.AddString("backend", &backend,
-                  "prefetch backend: madvise|pread|uring|auto");
+                  "prefetch backend: madvise|pread");
   flags.AddString("trace", &trace,
                   "write a Chrome trace-event JSON of the run to this path");
   flags.AddBool("csv", &csv, "emit CSV");

@@ -51,9 +51,9 @@ struct ClusterExecOptions {
   uint64_t instance_ram_budget_bytes = 0;
 
   /// Prefetch backend every partition pipeline drives (one shared
-  /// io::PrefetchBackend per run — partitions scan one at a time, so a
-  /// shared backend only pools descriptors/buffers, like the shared
-  /// thread pools). Results stay bitwise identical under every backend.
+  /// io::PrefetchBackend per run — partitions scan one at a time, so one
+  /// backend's pread threads serve them all, like the shared thread
+  /// pools). Results stay bitwise identical under every backend.
   io::PrefetchBackendKind prefetch_backend = io::PrefetchBackendKind::kMadvise;
 
   /// When non-empty, SparkCluster runs start the process-global trace

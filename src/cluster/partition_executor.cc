@@ -32,11 +32,8 @@ PartitionExecutor::PartitionExecutor(std::vector<Partition> partitions,
   if (pipelined()) {
     if (bound()) {
       io_pool_ = std::make_unique<util::ThreadPool>(1);
-      // kAuto probes against the dataset mapping the partitions will
-      // actually fault from; the verdict is cached process-wide.
-      prefetch_backend_ = io::MakePrefetchBackend(
-          config_.exec.prefetch_backend, io::PrefetchBackendOptions(),
-          data_.mapping);
+      prefetch_backend_ =
+          io::MakePrefetchBackend(config_.exec.prefetch_backend);
     }
     if (config_.exec.pipeline_workers >= 2) {
       compute_pool_ =

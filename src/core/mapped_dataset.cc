@@ -88,8 +88,6 @@ exec::ChunkPipeline& MappedDataset::pipeline() {
     options.readahead_chunks = options_.readahead_chunks;
     options.num_workers = options_.pipeline_workers;
     options.advice = options_.advice;
-    // kAuto probes WILLNEED efficacy against this dataset's own mapping —
-    // the filesystem the scan will actually fault from.
     options.prefetch_backend = options_.prefetch_backend;
     // Under a sequential scan order, budget eviction stays with the
     // RamBudgetEmulator via ScanHooks so its counters keep accounting for

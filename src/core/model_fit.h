@@ -104,7 +104,7 @@ struct ModelFitResult {
 /// Only a run that *stalled* observes raw storage speed — when every
 /// prefetch wins its race, the stats bound bandwidth from below and
 /// `fallback` is returned. The time base prefers the prefetch stage's own
-/// seconds (real read time under the pread/uring backends) and falls back
+/// seconds (real read time under the pread backend) and falls back
 /// to the drive time not accounted for by compute (madvise's WILLNEED
 /// returns before the I/O it triggers, so its prefetch_seconds measure
 /// submission, not reading).

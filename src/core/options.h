@@ -57,14 +57,11 @@ struct M3Options {
   uint64_t pipeline_workers = 0;
 
   /// How the engine's prefetch stage issues readahead I/O: kMadvise
-  /// (MADV_WILLNEED, the default), kPread (page-cache-warming reads —
+  /// (MADV_WILLNEED, the default) or kPread (page-cache-warming reads —
   /// works where WILLNEED is a silent no-op, e.g. several
-  /// container/overlay filesystems), kUring (batched io_uring reads,
-  /// falling back to pread when unavailable), or kAuto (probe WILLNEED
-  /// efficacy on this dataset's filesystem once, then pick). Trained
-  /// results are bitwise identical under every backend; only the degree
-  /// of compute/disk overlap changes. See docs/ARCHITECTURE.md for the
-  /// selection matrix.
+  /// container/overlay filesystems). Trained results are bitwise
+  /// identical under every backend; only the degree of compute/disk
+  /// overlap changes. See docs/ARCHITECTURE.md for the selection matrix.
   io::PrefetchBackendKind prefetch_backend = io::PrefetchBackendKind::kMadvise;
 
   /// Visit order for dataset-driven chunk scans (MappedDataset::

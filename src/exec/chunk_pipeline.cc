@@ -12,30 +12,6 @@
 
 namespace m3::exec {
 
-namespace {
-
-/// Static-storage backend name for trace args (TraceArg string values
-/// must outlive the events; PrefetchBackendKindToString's string_view is
-/// not guaranteed NUL-terminated).
-const char* BackendTraceName(const io::PrefetchBackend* backend) {
-  if (backend == nullptr) {
-    return "none";
-  }
-  switch (backend->kind()) {
-    case io::PrefetchBackendKind::kMadvise:
-      return "madvise";
-    case io::PrefetchBackendKind::kPread:
-      return "pread";
-    case io::PrefetchBackendKind::kUring:
-      return "uring";
-    case io::PrefetchBackendKind::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 ChunkPipeline::ChunkPipeline(PipelineOptions options)
     : ChunkPipeline(MappedRegion(), std::move(options)) {}
 
@@ -47,9 +23,7 @@ ChunkPipeline::ChunkPipeline(MappedRegion region, PipelineOptions options)
     if (options_.shared_prefetch_backend != nullptr) {
       backend_ = options_.shared_prefetch_backend;
     } else {
-      owned_backend_ = io::MakePrefetchBackend(
-          options_.prefetch_backend, options_.prefetch_backend_options,
-          region_.mapping);
+      owned_backend_ = io::MakePrefetchBackend(options_.prefetch_backend);
       backend_ = owned_backend_.get();
     }
     if (options_.shared_io_pool != nullptr) {
@@ -148,7 +122,8 @@ void ChunkPipeline::RequestPrefetchThrough(const la::Chunker& chunker,
       if (span.armed()) {
         span.AddArg("position", static_cast<uint64_t>(pos));
         span.AddArg("bytes", total_bytes);
-        span.AddArg("backend", BackendTraceName(backend_));
+        span.AddArg("backend",
+                    io::PrefetchBackendKindToString(backend_->kind()));
       }
       util::Stopwatch watch;
       // Best effort: a failed prefetch only loses overlap, never data.
@@ -427,10 +402,6 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   M3_CHECK(schedule.num_chunks() == chunker.NumChunks(),
            "schedule covers %zu chunks, chunker has %zu",
            schedule.num_chunks(), chunker.NumChunks());
-  // Marks this pass as in flight for the ExecCounters quiescence contract
-  // (io/io_stats.h): Reset/SetExecCounters CHECK-fail while any pass holds
-  // this guard.
-  const io::ScopedExecCountersPass pass_guard;
   obs::NameThisThread("driver");
   obs::ScopedSpan pass_span("exec", "pass");
   if (pass_span.armed()) {

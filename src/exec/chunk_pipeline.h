@@ -8,7 +8,7 @@
 ///   1. prefetch — a single background I/O thread walks the schedule
 ///      `readahead_chunks` positions ahead of compute and hands each
 ///      chunk's byte range to the configured io::PrefetchBackend
-///      (madvise/pread/io_uring; see io/prefetch_backend.h).
+///      (madvise/pread; see io/prefetch_backend.h).
 ///   2. map — the chunk functor. Runs on the driving thread
 ///      (num_workers <= 1) or on an internal worker pool with up to
 ///      2*num_workers chunks in flight, in any order.
@@ -139,15 +139,9 @@ struct PipelineOptions {
 
   /// Which io::PrefetchBackend the prefetch stage drives: kMadvise issues
   /// MADV_WILLNEED (the default), kPread warms the page cache with
-  /// pread(2) reads, kUring batches io_uring READs (falling back to pread
-  /// when unavailable), kAuto probes WILLNEED efficacy on the bound
-  /// mapping once per process and picks the fastest working path. Results
-  /// are bitwise identical under every backend — only overlap changes.
+  /// pread(2) reads. Results are bitwise identical under every backend —
+  /// only overlap changes.
   io::PrefetchBackendKind prefetch_backend = io::PrefetchBackendKind::kMadvise;
-
-  /// Knobs for the created backend (block size, pread fan-out, uring
-  /// queue depth). Ignored when `shared_prefetch_backend` is set.
-  io::PrefetchBackendOptions prefetch_backend_options;
 
   /// Not-owned backend shared between pipelines that never run passes
   /// concurrently (cluster simulator), like the shared pools below. Null

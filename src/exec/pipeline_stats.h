@@ -51,12 +51,12 @@ struct PipelineStats {
   uint64_t bytes_evicted = 0;   ///< bytes covered by issued evictions
   /// \name Prefetch-backend counters (io::PrefetchBackend).
   /// One pipeline-level prefetch fans out into >= 1 backend submits (one
-  /// madvise range, one pread block, one io_uring SQE); completions count
-  /// requests the kernel confirmed, fallbacks count requests a degraded
-  /// path served (uring -> pread, pread -> page touch). These sit beside
-  /// the hit/stall race, which is untouched: for any complete pass
-  /// prefetches == prefetch_hits + stalls + prefetch_unclassified holds
-  /// under every backend.
+  /// madvise range, one pread block); completions count requests the
+  /// kernel confirmed, fallbacks count requests the pread backend served
+  /// by touching pages (anonymous regions). These sit beside the hit/stall
+  /// race, which is untouched: for any complete pass prefetches ==
+  /// prefetch_hits + stalls + prefetch_unclassified holds under every
+  /// backend.
   /// @{
   uint64_t backend_submits = 0;
   uint64_t backend_completions = 0;

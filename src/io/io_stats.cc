@@ -3,13 +3,11 @@
 #include <sys/resource.h>
 #include <sys/time.h>
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 
 #include "io/file.h"
 #include "util/format.h"
-#include "util/logging.h"
 
 namespace m3::io {
 
@@ -116,32 +114,7 @@ ExecCounters& ExecCountersStorage() {
   return *counters;
 }
 
-/// In-flight pipeline passes; the epoch guard behind the Reset/Set
-/// quiescence contract (io_stats.h).
-std::atomic<uint64_t>& ActivePassCount() {
-  static std::atomic<uint64_t>* count = new std::atomic<uint64_t>{0};
-  return *count;
-}
-
 }  // namespace
-
-// Intentionally relaxed: the pass count is a pure occupancy counter — no
-// other memory is published through it, and the data it guards against
-// (the counter totals) is already ordered by ExecCountersMutex(). Atomic
-// RMWs are coherent at every ordering, so the count itself can never tear
-// or lose increments; relaxed only forgoes ordering unrelated writes,
-// which the quiescence CHECK does not rely on.
-ScopedExecCountersPass::ScopedExecCountersPass() {
-  ActivePassCount().fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedExecCountersPass::~ScopedExecCountersPass() {
-  ActivePassCount().fetch_sub(1, std::memory_order_relaxed);
-}
-
-uint64_t ActiveExecCountersPasses() {
-  return ActivePassCount().load(std::memory_order_relaxed);
-}
 
 void AddExecCounters(const ExecCounters& delta) {
   std::lock_guard<std::mutex> lock(ExecCountersMutex());
@@ -164,24 +137,6 @@ void AddExecCounters(const ExecCounters& delta) {
 ExecCounters GlobalExecCounters() {
   std::lock_guard<std::mutex> lock(ExecCountersMutex());
   return ExecCountersStorage();
-}
-
-void ResetExecCounters() {
-  M3_CHECK(ActiveExecCountersPasses() == 0,
-           "ResetExecCounters while %llu pipeline pass(es) in flight — "
-           "snapshots must wait for quiescence (see io/io_stats.h)",
-           static_cast<unsigned long long>(ActiveExecCountersPasses()));
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCountersStorage() = ExecCounters();
-}
-
-void SetExecCounters(const ExecCounters& value) {
-  M3_CHECK(ActiveExecCountersPasses() == 0,
-           "SetExecCounters while %llu pipeline pass(es) in flight — "
-           "snapshots must wait for quiescence (see io/io_stats.h)",
-           static_cast<unsigned long long>(ActiveExecCountersPasses()));
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCountersStorage() = value;
 }
 
 FaultCounters FaultCounters::operator-(const FaultCounters& rhs) const {

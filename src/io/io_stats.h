@@ -57,15 +57,15 @@ struct ExecCounters {
   /// prefetch_unclassified.
   uint64_t prefetch_unclassified = 0;
   /// I/O requests the prefetch backend handed to the kernel (one madvise
-  /// range, one pread block, one io_uring SQE — see io/prefetch_backend.h).
-  /// Orthogonal to `prefetches`, which counts pipeline-level chunk ranges:
-  /// one prefetch fans out into >= 1 backend submits.
+  /// range, one pread block — see io/prefetch_backend.h). Orthogonal to
+  /// `prefetches`, which counts pipeline-level chunk ranges: one prefetch
+  /// fans out into >= 1 backend submits.
   uint64_t backend_submits = 0;
-  /// Backend requests confirmed complete (pread returned, CQE reaped,
-  /// madvise succeeded). submits > completions means lost overlap.
+  /// Backend requests confirmed complete (madvise succeeded, pread block
+  /// fully read). submits > completions means lost overlap.
   uint64_t backend_completions = 0;
-  /// Backend requests served by a degraded path (uring -> pread after a
-  /// failed probe/submission, pread -> page touch for anonymous regions).
+  /// Backend requests served by the pread backend's page-touch path for
+  /// anonymous regions.
   uint64_t backend_fallbacks = 0;
 
   ExecCounters operator-(const ExecCounters& rhs) const;
@@ -82,52 +82,6 @@ void AddExecCounters(const ExecCounters& delta);
 /// snapshot taken while passes are running sees every *completed* pass
 /// and none of the running ones.
 ExecCounters GlobalExecCounters();
-
-/// \name Quiescence contract for Reset/SetExecCounters.
-///
-/// The process-wide counters are a single accumulator shared by every
-/// pipeline. A Reset/Set that lands between a pass's execution and its
-/// end-of-pass AddExecCounters() silently corrupts the totals: the pass's
-/// delta is added on top of the overwritten value, so "reset then
-/// measure" benches would start from a phantom baseline. The contract is
-/// therefore: **Reset/SetExecCounters may only run while no pipeline pass
-/// is in flight.**
-///
-/// The engine enforces it mechanically: every ChunkPipeline::Run()
-/// brackets itself with a ScopedExecCountersPass, and Reset/Set CHECK
-/// that the active-pass count is zero — a mid-pass snapshot-restore
-/// aborts loudly instead of producing corrupt bench JSON.
-/// @{
-
-/// RAII marker for one in-flight pipeline pass (engine-internal; exposed
-/// for any future executor that reports through AddExecCounters).
-class ScopedExecCountersPass {
- public:
-  ScopedExecCountersPass();
-  ~ScopedExecCountersPass();
-
-  ScopedExecCountersPass(const ScopedExecCountersPass&) = delete;
-  ScopedExecCountersPass& operator=(const ScopedExecCountersPass&) = delete;
-};
-
-/// Number of passes currently in flight (0 = quiescent).
-uint64_t ActiveExecCountersPasses();
-/// @}
-
-/// \brief Resets the process-wide exec counters (bench preambles).
-/// \pre No pipeline pass in flight (CHECK-enforced; see the quiescence
-/// contract above).
-void ResetExecCounters();
-
-/// \brief Overwrites the process-wide exec counters with `value`.
-///
-/// Exists for snapshot-and-restore around measurement plumbing that must
-/// stay invisible to benchmarks — io::ProbePrefetchEfficacy() brackets its
-/// own evictions and faulting reads with GlobalExecCounters() /
-/// SetExecCounters() so bench JSON reflects only the measured pass.
-/// \pre No pipeline pass in flight (CHECK-enforced; see the quiescence
-/// contract above).
-void SetExecCounters(const ExecCounters& value);
 
 /// \brief Page-fault counters from getrusage(2).
 ///

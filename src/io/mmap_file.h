@@ -79,8 +79,8 @@ class MemoryMappedFile {
   const void* data() const { return addr_; }
   void* mutable_data() { return addr_; }
 
-  /// The backing File — prefetch backends read through its descriptor to
-  /// warm the page cache (pread/io_uring). `!is_open()` for anonymous
+  /// The backing File — the pread prefetch backend reads through its
+  /// descriptor to warm the page cache. `!is_open()` for anonymous
   /// mappings.
   const File& backing_file() const { return file_; }
 

@@ -126,9 +126,8 @@ Status ValidateTrace(const JsonValue& doc) {
       open_ends.push_back(edge.end);
     }
   }
-  // exec.* tracks mirror cumulative io::ExecCounters, so going backwards
-  // means the recorder scrambled sample order (or the counters were reset
-  // mid-trace, which the quiescence contract forbids).
+  // exec.* tracks mirror cumulative io::ExecCounters, which only ever
+  // grow, so going backwards means the recorder scrambled sample order.
   for (const auto& [track, samples] : exec_tracks) {
     for (size_t i = 1; i < samples.size(); ++i) {
       if (samples[i] < samples[i - 1]) {

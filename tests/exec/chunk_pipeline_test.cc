@@ -346,15 +346,15 @@ TEST_F(BoundPipelineTest, EvictionTrailsTheBudgetWindowExactly) {
 }
 
 TEST_F(BoundPipelineTest, PassesReportedToGlobalExecCounters) {
-  io::ResetExecCounters();
   const size_t kRows = 512, kRowDoubles = 32;
   io::MemoryMappedFile mapped = MakeMapped(kRows, kRowDoubles);
   MappedRegion region{&mapped, 0, kRowDoubles * sizeof(double)};
   ChunkPipeline pipeline(region, PipelineOptions());
   la::RowChunker chunker(kRows, 64);
+  const io::ExecCounters before = io::GlobalExecCounters();
   pipeline.Run(chunker, [](size_t, size_t, size_t) {});
   pipeline.Run(chunker, [](size_t, size_t, size_t) {});
-  const io::ExecCounters counters = io::GlobalExecCounters();
+  const io::ExecCounters counters = io::GlobalExecCounters() - before;
   EXPECT_EQ(counters.passes, 2u);
   EXPECT_EQ(counters.chunks, 2 * chunker.NumChunks());
   EXPECT_EQ(counters.prefetches, 2 * chunker.NumChunks());

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <numeric>
@@ -178,26 +179,37 @@ TEST(ExecCounterArithmeticTest, UnclassifiedFlowsThroughConversions) {
 
 TEST_F(CounterInvariantTest, RetireComputeStallsConsistentAcrossWorkers) {
   // The SGD shape: a no-op map and real work in retire. Pages are touched
-  // at retire, so the race must be judged there. Each retire takes long
-  // enough that every prefetch of this small warm mapping lands well
-  // before its position retires — at every worker count the classified
-  // positions are all hits and the stall count is zero. Under the old
-  // map-dispatch sampling, fan-out dispatched the no-op maps in a burst
-  // and miscounted those hits as stalls (the deleted "judge on the serial
-  // configuration" caveat).
+  // at retire, so the race must be judged there. The retire at position p
+  // waits until the prefetches of positions <= p + 1 have landed. The I/O
+  // thread stores the watermark before it counts a prefetch, so the next
+  // position's retire race is a hit under any scheduling — at every worker
+  // count the classified positions are all hits and the stall count is
+  // zero. Under the old map-dispatch sampling, fan-out dispatched the
+  // no-op maps in a burst and miscounted those hits as stalls (the deleted
+  // "judge on the serial configuration" caveat).
   const size_t kRows = 2048, kCols = 32;
   io::MemoryMappedFile mapped = MakeMapped(kRows, kCols);
   const la::RowChunker chunker(kRows, 128);  // 16 chunks
+  const size_t n = chunker.NumChunks();
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
     PipelineOptions options;
     options.readahead_chunks = 2;
     options.num_workers = workers;
     ChunkPipeline pipeline({&mapped, 0, kCols * sizeof(double)}, options);
     pipeline.Run(
-        chunker, ChunkSchedule::Sequential(chunker.NumChunks()),
+        chunker, ChunkSchedule::Sequential(n),
         [](size_t, size_t, size_t, size_t) {},
-        [](size_t, size_t, size_t, size_t) {
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        [&pipeline, n](size_t position, size_t, size_t, size_t) {
+          const uint64_t landed = std::min(position + 2, n);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (pipeline.stats().prefetches < landed) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              ADD_FAILURE() << "prefetch " << landed - 1 << " never landed";
+              return;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
         },
         RaceStage::kRetire);
     const PipelineStats stats = pipeline.stats();

@@ -1,7 +1,7 @@
 // Conformance suite for the pluggable prefetch backends: every backend
-// compiled into this binary must (a) keep the engine's counter invariants,
-// (b) degrade gracefully when its mechanism is unavailable, and (c) leave
-// scan results bitwise identical — backends move bytes, never values.
+// must (a) keep the engine's counter invariants, (b) degrade gracefully
+// when its mechanism is unavailable, and (c) leave scan results bitwise
+// identical — backends move bytes, never values.
 
 #include "io/prefetch_backend.h"
 
@@ -17,7 +17,6 @@
 #include "exec/chunk_map_reduce.h"
 #include "exec/chunk_pipeline.h"
 #include "io/file.h"
-#include "io/io_stats.h"
 #include "io/platform.h"
 #include "la/chunker.h"
 #include "util/sys_info.h"
@@ -25,12 +24,9 @@
 namespace m3::io {
 namespace {
 
-/// Every kind this binary can construct a real backend for. kUring is
-/// always listed: when io_uring is compiled out or runtime-unavailable the
-/// factory's graceful fallback is exactly what the suite must cover.
+/// Every backend kind.
 std::vector<PrefetchBackendKind> AllBackendKinds() {
-  return {PrefetchBackendKind::kMadvise, PrefetchBackendKind::kPread,
-          PrefetchBackendKind::kUring};
+  return {PrefetchBackendKind::kMadvise, PrefetchBackendKind::kPread};
 }
 
 class PrefetchBackendTest : public ::testing::Test {
@@ -62,14 +58,16 @@ class PrefetchBackendTest : public ::testing::Test {
 
 TEST(PrefetchBackendKindTest, NamesRoundTrip) {
   for (const PrefetchBackendKind kind :
-       {PrefetchBackendKind::kAuto, PrefetchBackendKind::kMadvise,
-        PrefetchBackendKind::kPread, PrefetchBackendKind::kUring}) {
+       {PrefetchBackendKind::kMadvise, PrefetchBackendKind::kPread}) {
     auto parsed = ParsePrefetchBackendKind(PrefetchBackendKindToString(kind));
     ASSERT_TRUE(parsed.ok()) << PrefetchBackendKindToString(kind);
     EXPECT_EQ(parsed.value(), kind);
   }
-  EXPECT_EQ(ParsePrefetchBackendKind("io_uring").value(),
-            PrefetchBackendKind::kUring);
+  // Any other name is rejected rather than mapped to a default, so a
+  // config naming a backend this build lacks fails loudly.
+  EXPECT_FALSE(ParsePrefetchBackendKind("uring").ok());
+  EXPECT_FALSE(ParsePrefetchBackendKind("io_uring").ok());
+  EXPECT_FALSE(ParsePrefetchBackendKind("auto").ok());
   EXPECT_FALSE(ParsePrefetchBackendKind("sendfile").ok());
   EXPECT_FALSE(ParsePrefetchBackendKind("").ok());
 }
@@ -122,42 +120,6 @@ TEST_F(PrefetchBackendTest, PreadFallsBackToTouchOnAnonymousMappings) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_GE(outcome.value().fallbacks, 1u);
   EXPECT_EQ(outcome.value().completions, outcome.value().submits);
-}
-
-TEST_F(PrefetchBackendTest, UringFallsBackGracefullyWhenProbeFails) {
-  MemoryMappedFile mapped = MakeMapped("fallback.bin", 128 << 10);
-  PrefetchBackendOptions options;
-  options.force_uring_unavailable = true;
-  auto backend = MakePrefetchBackend(PrefetchBackendKind::kUring, options);
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->kind(), PrefetchBackendKind::kUring);
-  EXPECT_TRUE(backend->using_fallback());
-  M3_IGNORE_STATUS(mapped.Evict(0, mapped.size()), "best-effort evict");
-  auto outcome = backend->Prefetch(mapped, 0, mapped.size());
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  // Every submit went through the pread fallback and is counted as such.
-  EXPECT_GE(outcome.value().submits, 1u);
-  EXPECT_EQ(outcome.value().fallbacks, outcome.value().submits);
-}
-
-TEST_F(PrefetchBackendTest, UringNativePathWhenAvailable) {
-  if (!UringCompiledIn() || !UringAvailable()) {
-    GTEST_SKIP() << "io_uring not available (compiled="
-                 << UringCompiledIn() << ")";
-  }
-  MemoryMappedFile mapped = MakeMapped("uring.bin", 512 << 10);  // 4 MiB
-  PrefetchBackendOptions options;
-  options.block_bytes = 256 << 10;
-  options.uring_queue_depth = 4;
-  auto backend = MakePrefetchBackend(PrefetchBackendKind::kUring, options);
-  EXPECT_FALSE(backend->using_fallback());
-  M3_IGNORE_STATUS(mapped.Evict(0, mapped.size()), "best-effort evict");
-  auto outcome = backend->Prefetch(mapped, 0, mapped.size());
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  // 4 MiB in 256 KiB blocks = 16 SQEs, all reaped, none degraded.
-  EXPECT_EQ(outcome.value().submits, 16u);
-  EXPECT_EQ(outcome.value().completions, 16u);
-  EXPECT_EQ(outcome.value().fallbacks, 0u);
 }
 
 // The engine invariant must hold under every backend: after any complete
@@ -228,54 +190,6 @@ TEST_F(PrefetchBackendTest, MapReduceBitwiseIdenticalAcrossBackends) {
       EXPECT_EQ(std::memcmp(&sum, &reference, sizeof(sum)), 0)
           << sum << " vs " << reference;
     }
-  }
-}
-
-TEST_F(PrefetchBackendTest, ProbeRestoresGlobalExecCounters) {
-  ResetPrefetchProbeCacheForTesting();
-  ExecCounters marker;
-  marker.evictions = 123;
-  marker.prefetches = 456;
-  const ExecCounters before_probe = GlobalExecCounters();
-  AddExecCounters(marker);
-  const ExecCounters tagged = GlobalExecCounters();
-
-  MemoryMappedFile mapped = MakeMapped("probe.bin", 512 << 10);
-  const PrefetchProbeResult result = ProbePrefetchEfficacy(mapped);
-  // Whatever evictions/reads the probe performed are measurement plumbing:
-  // the process-wide counters are exactly what they were before it ran.
-  const ExecCounters after = GlobalExecCounters();
-  EXPECT_EQ(after.evictions, tagged.evictions);
-  EXPECT_EQ(after.prefetches, tagged.prefetches);
-  EXPECT_EQ(after.bytes_evicted, tagged.bytes_evicted);
-
-  // The verdict recommends something constructible.
-  EXPECT_NE(result.recommended, PrefetchBackendKind::kAuto);
-  // And it is cached: a second call returns the same verdict.
-  const PrefetchProbeResult again = ProbePrefetchEfficacy(mapped);
-  EXPECT_EQ(again.willneed_effective, result.willneed_effective);
-  EXPECT_EQ(again.recommended, result.recommended);
-
-  // Restore the counters this test's own marker perturbed.
-  SetExecCounters(before_probe);
-  ResetPrefetchProbeCacheForTesting();
-}
-
-TEST_F(PrefetchBackendTest, AutoResolvesToConstructibleBackend) {
-  ResetPrefetchProbeCacheForTesting();
-  MemoryMappedFile mapped = MakeMapped("auto.bin", 512 << 10);
-  auto backend = MakePrefetchBackend(PrefetchBackendKind::kAuto,
-                                     PrefetchBackendOptions(), &mapped);
-  ASSERT_NE(backend, nullptr);
-  EXPECT_NE(backend->kind(), PrefetchBackendKind::kAuto);
-  auto outcome = backend->Prefetch(mapped, 0, mapped.size());
-  EXPECT_TRUE(outcome.ok());
-  ResetPrefetchProbeCacheForTesting();
-}
-
-TEST(UringAvailabilityTest, CompiledOutImpliesUnavailable) {
-  if (!UringCompiledIn()) {
-    EXPECT_FALSE(UringAvailable());
   }
 }
 

@@ -34,8 +34,7 @@ namespace m3::ml {
 namespace {
 
 std::vector<io::PrefetchBackendKind> AllBackendKinds() {
-  return {io::PrefetchBackendKind::kMadvise, io::PrefetchBackendKind::kPread,
-          io::PrefetchBackendKind::kUring};
+  return {io::PrefetchBackendKind::kMadvise, io::PrefetchBackendKind::kPread};
 }
 
 bool BitwiseEqual(la::ConstVectorView a, la::ConstVectorView b) {

@@ -3,10 +3,10 @@
 Two sub-checks, one rule family (both emitted under [atomic-order]):
 
 relaxed-needs-why — every `std::memory_order_relaxed` use carries the
-why-relaxed comment convention established in PR 7 (io_stats.cc's
-"Intentionally relaxed: ..." block is the exemplar): a comment
-containing the word "relaxed" on the same line or within 12 lines
-above. Relaxed is correct exactly when no other memory is published
+why-relaxed comment convention (the pread backend's "Relaxed: completed
+is a pure counter; ..." in src/io/prefetch_backend.cc is an exemplar): a
+comment containing the word "relaxed" on the same line or within 12
+lines above. Relaxed is correct exactly when no other memory is published
 through the atomic — a claim that must be written down where the next
 editor will see it, because nothing else stops them from hanging data
 off a flag whose ordering silently forgoes visibility.
