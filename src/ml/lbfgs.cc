@@ -23,6 +23,8 @@ struct LineProbe {
   la::VectorView w_trial;    // scratch: w0 + alpha d
   la::VectorView grad_trial; // scratch: gradient at w_trial
   size_t* evaluations;
+  double last_alpha = 0;  // step of the latest Eval; w_trial is at it
+  double last_value = 0;  // f(w_trial)
 
   double Eval(double alpha, double* derivative) {
     la::Copy(w0, w_trial);
@@ -30,12 +32,17 @@ struct LineProbe {
     const double value =
         function->EvaluateWithGradient(w_trial, grad_trial);
     ++*evaluations;
+    last_alpha = alpha;
+    last_value = value;
     *derivative = la::Dot(grad_trial, direction);
     return value;
   }
 };
 
-/// Cubic/bisection interpolation inside [lo, hi].
+/// Bisection inside [lo, hi]. Cubic interpolation (Nocedal & Wright
+/// eq. 3.59) needs fewer probes but probes other points, so every iterate
+/// after the first zoom moves: it changes the trained model (for better or
+/// worse, depending on its safeguards), not only what training costs.
 double Interpolate(double lo, double hi) { return 0.5 * (lo + hi); }
 
 /// Nocedal & Wright Algorithm 3.6 ("zoom").
@@ -190,12 +197,21 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
       break;
     }
 
-    // Accept w = w_prev + step * direction; reuse the last probe state if it
-    // matches, else evaluate at the accepted point.
-    la::Copy(w_prev, w);
-    la::Axpy(step, direction, w);
-    const double f_new = function->EvaluateWithGradient(w, grad);
-    ++result.function_evaluations;
+    // Accept w = w_prev + step * direction. When the step is the one the
+    // search probed last, w_trial was built by the same Copy + Axpy and the
+    // objective is deterministic, so the probe already holds the point, its
+    // value and its gradient bit for bit: keep them instead of another pass.
+    // Zoom can fall back to an earlier probe; evaluate at that one.
+    double f_new = probe.last_value;
+    if (step == probe.last_alpha) {
+      la::Copy(w_trial, w);
+      la::Copy(grad_trial, grad);
+    } else {
+      la::Copy(w_prev, w);
+      la::Axpy(step, direction, w);
+      f_new = function->EvaluateWithGradient(w, grad);
+      ++result.function_evaluations;
+    }
 
     // Update history.
     la::Vector s(n), y(n);

@@ -15,7 +15,9 @@ struct OptimizationResult {
   double objective = 0;              ///< final f(w)
   double gradient_norm = 0;          ///< final ||grad||
   size_t iterations = 0;             ///< outer iterations performed
-  size_t function_evaluations = 0;   ///< full data passes
+  /// Objective evaluations: one data pass each for a ChunkedObjective,
+  /// one job each for the cluster driver.
+  size_t function_evaluations = 0;
   /// Sequential data passes the objective actually performed (from
   /// ChunkedObjective::passes(); equals function_evaluations for chunked
   /// objectives, 0 for objectives that do not scan data).
@@ -48,7 +50,9 @@ struct LbfgsOptions {
 /// This is the optimizer the paper uses for logistic regression ("10
 /// iterations of L-BFGS"). Each line-search probe is a full pass over the
 /// data, which is why L-BFGS on a memory-mapped out-of-core dataset is
-/// I/O-bound: every evaluation streams the file once.
+/// I/O-bound: every evaluation streams the file once. The accepted probe's
+/// value and gradient are kept rather than evaluated again, so an
+/// iteration whose first probe is accepted costs one pass.
 class Lbfgs {
  public:
   explicit Lbfgs(LbfgsOptions options = LbfgsOptions());

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/blas.h"
 #include "ml/gradient_descent.h"
@@ -49,6 +51,40 @@ class Rosenbrock final : public DifferentiableFunction {
     grad[1] = 200.0 * b;
     return a * a + 100.0 * b * b;
   }
+};
+
+/// f(w) = -w + 1000 max(0, w - 0.6)^2: a unit downhill slope that meets a
+/// steep wall at 0.6.
+class Wall final : public DifferentiableFunction {
+ public:
+  size_t Dimension() const override { return 1; }
+
+  double EvaluateWithGradient(la::ConstVectorView w,
+                              la::VectorView grad) override {
+    const double past = std::max(0.0, w[0] - 0.6);
+    grad[0] = -1.0 + 2000.0 * past;
+    return -w[0] + 1000.0 * past * past;
+  }
+};
+
+/// Forwards to another objective and records every point evaluated.
+class Recording final : public DifferentiableFunction {
+ public:
+  explicit Recording(DifferentiableFunction* inner) : inner_(inner) {}
+
+  size_t Dimension() const override { return inner_->Dimension(); }
+
+  double EvaluateWithGradient(la::ConstVectorView w,
+                              la::VectorView grad) override {
+    points_.emplace_back(w.begin(), w.end());
+    return inner_->EvaluateWithGradient(w, grad);
+  }
+
+  const std::vector<std::vector<double>>& points() const { return points_; }
+
+ private:
+  DifferentiableFunction* inner_;
+  std::vector<std::vector<double>> points_;
 };
 
 TEST(LbfgsTest, MinimizesWellConditionedQuadratic) {
@@ -170,6 +206,50 @@ TEST(LbfgsTest, FunctionEvaluationsCounted) {
   auto result = optimizer.Minimize(&f, w).ValueOrDie();
   // At least one evaluation per iteration plus the initial one.
   EXPECT_GE(result.function_evaluations, result.iterations + 1);
+}
+
+TEST(LbfgsTest, AcceptedProbeIsNotEvaluatedAgain) {
+  Rosenbrock rosenbrock;
+  Recording f(&rosenbrock);
+  la::Vector w(2);
+  w[0] = -1.2;
+  w[1] = 1.0;
+  Lbfgs optimizer;
+  auto result = optimizer.Minimize(&f, w).ValueOrDie();
+  const auto& points = f.points();
+  ASSERT_EQ(result.function_evaluations, points.size());
+  // The line search evaluates the step it accepts; evaluating that point
+  // again right after would be a wasted data pass.
+  size_t repeats = 0;
+  for (size_t i = 1; i < points.size(); ++i) {
+    repeats += points[i] == points[i - 1] ? 1 : 0;
+  }
+  EXPECT_EQ(repeats, 0u);
+  // The kept value and gradient are the ones a fresh evaluation returns.
+  la::Vector grad(2);
+  EXPECT_EQ(result.objective, rosenbrock.EvaluateWithGradient(w, grad));
+  EXPECT_EQ(result.gradient_norm, la::AbsMax(grad));
+}
+
+TEST(LbfgsTest, StepThatIsNotTheLastProbeIsEvaluated) {
+  // The search probes 1.0 (past the wall), zooms to 0.5 (kept as the low
+  // end), then to 0.75 (past the wall) and runs out of steps. It accepts
+  // 0.5, which is not its last probe, so 0.5 is evaluated once more
+  // rather than taking the value and gradient left by 0.75.
+  Wall wall;
+  Recording f(&wall);
+  la::Vector w(1);
+  LbfgsOptions options;
+  options.max_iterations = 1;
+  options.max_line_search_steps = 2;
+  Lbfgs optimizer(options);
+  auto result = optimizer.Minimize(&f, w).ValueOrDie();
+  EXPECT_EQ(w[0], 0.5);
+  EXPECT_EQ(result.objective, -0.5);
+  EXPECT_EQ(result.function_evaluations, 5u);
+  const std::vector<std::vector<double>> expected = {
+      {0.0}, {1.0}, {0.5}, {0.75}, {0.5}};
+  EXPECT_EQ(f.points(), expected);
 }
 
 TEST(GradientDescentTest, MinimizesQuadratic) {
