@@ -90,7 +90,8 @@ class MappedSparseDataset {
 
   /// The nnz-budget chunker for this dataset's row_ptr. With
   /// `M3Options::chunk_rows` set the caller wants uniform row chunks;
-  /// build a la::RowChunker instead (ChunkedObjective does).
+  /// build a la::RowChunker instead (the CSR loss objectives of
+  /// ml/logistic_regression.h do when chunk_rows > 0).
   la::SparseChunker MakeChunker() const;
 
   /// The pipelined execution engine bound to the CSR sections via

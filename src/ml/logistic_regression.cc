@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <vector>
 
 #include "la/blas.h"
+#include "util/format.h"
 #include "util/thread_pool.h"
 
 namespace m3::ml {
@@ -32,26 +33,113 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
+// The per-row kernels, chosen by the row type. A sparse row performs the
+// dense row's additions minus its zero terms, into the same lanes.
+
+double RowDot(la::ConstVectorView x, la::ConstVectorView w) {
+  return la::Dot(x, w);
+}
+
+double RowDot(const la::SparseRowView& x, la::ConstVectorView w) {
+  return la::SparseDot(x, w);
+}
+
+void RowAxpy(double alpha, la::ConstVectorView x, la::VectorView y) {
+  la::Axpy(alpha, x, y);
+}
+
+void RowAxpy(double alpha, const la::SparseRowView& x, la::VectorView y) {
+  la::SparseAxpy(alpha, x, y);
+}
+
+// The chunker, chosen by the row type. Chunk boundaries fix the merge
+// grouping, and so the bits.
+
+std::unique_ptr<la::Chunker> MakeRowsChunker(const la::ConstMatrixView& x,
+                                             size_t chunk_rows,
+                                             uint64_t /*chunk_nnz_bytes*/) {
+  return std::make_unique<la::RowChunker>(
+      x.rows(), la::AutoChunkRows(x.cols(), chunk_rows));
+}
+
+std::unique_ptr<la::Chunker> MakeRowsChunker(const la::CsrView& x,
+                                             size_t chunk_rows,
+                                             uint64_t chunk_nnz_bytes) {
+  if (chunk_rows > 0) {
+    // Uniform row chunks: boundaries (and therefore merge grouping and
+    // bits) match a dense scan of the densified data.
+    return std::make_unique<la::RowChunker>(x.rows(), chunk_rows);
+  }
+  const uint64_t budget = chunk_nnz_bytes > 0 ? chunk_nnz_bytes
+                                              : la::kDefaultNnzBudgetBytes;
+  return std::make_unique<la::SparseChunker>(x.row_ptr(), x.rows(), budget);
+}
+
+/// Input checks shared by every trainer and both row types: a non-empty
+/// shape, one label per row, and labels that are class indices.
+Status CheckInputs(size_t rows, size_t cols, la::ConstVectorView y,
+                   size_t num_classes) {
+  if (rows == 0 || cols == 0) {
+    return Status::InvalidArgument("empty training data");
+  }
+  if (rows != y.size()) {
+    return Status::InvalidArgument("labels size does not match rows");
+  }
+  if (num_classes < 2) {
+    return Status::InvalidArgument("need at least 2 classes");
+  }
+  for (size_t i = 0; i < y.size(); ++i) {
+    if (y[i] < 0 || y[i] >= static_cast<double>(num_classes) ||
+        y[i] != std::floor(y[i])) {
+      return Status::InvalidArgument(util::StrFormat(
+          "labels must be integers in [0, %zu)", num_classes));
+    }
+  }
+  return Status::OK();
+}
+
+/// Minimizes `objective` with L-BFGS from zero, its scans driven by
+/// `pipeline`; returns the minimizer.
+Result<la::Vector> FitFromZero(ChunkedObjective* objective,
+                               exec::ChunkPipeline* pipeline,
+                               const LbfgsOptions& lbfgs,
+                               OptimizationResult* stats) {
+  objective->set_pipeline(pipeline);
+  la::Vector params(objective->Dimension());  // zero init
+  Lbfgs optimizer(lbfgs);
+  M3_ASSIGN_OR_RETURN(OptimizationResult result,
+                      optimizer.Minimize(objective, params));
+  if (stats != nullptr) {
+    *stats = result;
+  }
+  return params;
+}
+
+/// LogisticObjective's parameters (weights, then intercept) as a model.
+LogisticRegressionModel ToLogisticModel(const la::Vector& params) {
+  const size_t d = params.size() - 1;
+  LogisticRegressionModel model;
+  model.weights = la::Vector(d);
+  la::Copy(params.View().Slice(0, d), model.weights);
+  model.intercept = params[d];
+  return model;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Binary logistic regression
 // ---------------------------------------------------------------------------
 
-LogisticRegressionObjective::LogisticRegressionObjective(
-    la::ConstMatrixView x, la::ConstVectorView y, double l2,
-    size_t chunk_rows, ScanHooks hooks)
-    : ChunkedObjective(la::AutoChunkRows(x.cols(), chunk_rows), std::move(hooks)),
-      x_(x),
-      y_(y),
-      l2_(l2) {
-  M3_CHECK(x_.rows() == y_.size(), "labels size %zu != rows %zu", y_.size(),
-           x_.rows());
+template <typename Rows>
+std::unique_ptr<la::Chunker> LogisticObjective<Rows>::MakeChunker() const {
+  return MakeRowsChunker(x_, chunk_rows_, chunk_nnz_bytes_);
 }
 
-double LogisticRegressionObjective::EvaluateChunk(size_t begin, size_t end,
-                                                  la::ConstVectorView w,
-                                                  la::VectorView grad) {
+template <typename Rows>
+double LogisticObjective<Rows>::EvaluateChunk(size_t begin, size_t end,
+                                              la::ConstVectorView w,
+                                              la::VectorView grad) {
   const size_t d = x_.cols();
   const double inv_n = 1.0 / static_cast<double>(std::max<size_t>(1, NumRows()));
   la::ConstVectorView weights = w.Slice(0, d);
@@ -67,12 +155,12 @@ double LogisticRegressionObjective::EvaluateChunk(size_t begin, size_t end,
     la::Vector& partial = partials[chunk];
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
-      la::ConstVectorView xi = x_.Row(r);
-      const double z = la::Dot(xi, weights) + intercept;
+      const auto xi = x_.Row(r);
+      const double z = RowDot(xi, weights) + intercept;
       const double yi = y_[r];
       local_loss += Log1pExp(z) - yi * z;
       const double residual = (Sigmoid(z) - yi) * inv_n;
-      la::Axpy(residual, xi, partial.View().Slice(0, d));
+      RowAxpy(residual, xi, partial.View().Slice(0, d));
       partial[d] += residual;
     }
     losses[chunk] = local_loss;
@@ -85,8 +173,9 @@ double LogisticRegressionObjective::EvaluateChunk(size_t begin, size_t end,
   return chunk_loss * inv_n;
 }
 
-double LogisticRegressionObjective::ApplyRegularization(la::ConstVectorView w,
-                                                        la::VectorView grad) {
+template <typename Rows>
+double LogisticObjective<Rows>::ApplyRegularization(la::ConstVectorView w,
+                                                    la::VectorView grad) {
   // Ridge penalty on the weights (not the intercept).
   const size_t d = x_.cols();
   if (l2_ <= 0) {
@@ -96,6 +185,9 @@ double LogisticRegressionObjective::ApplyRegularization(la::ConstVectorView w,
   la::Axpy(l2_, weights, grad.Slice(0, d));
   return 0.5 * l2_ * la::Dot(weights, weights);
 }
+
+template class LogisticObjective<la::ConstMatrixView>;
+template class LogisticObjective<la::CsrView>;
 
 double LogisticRegressionModel::PredictProbability(
     la::ConstVectorView x) const {
@@ -112,54 +204,45 @@ LogisticRegression::LogisticRegression(LogisticRegressionOptions options)
 Result<LogisticRegressionModel> LogisticRegression::Train(
     la::ConstMatrixView x, la::ConstVectorView y,
     OptimizationResult* stats) const {
-  if (x.rows() == 0 || x.cols() == 0) {
-    return Status::InvalidArgument("empty training data");
-  }
-  if (x.rows() != y.size()) {
-    return Status::InvalidArgument("labels size does not match rows");
-  }
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y[i] != 0.0 && y[i] != 1.0) {
-      return Status::InvalidArgument(
-          "binary logistic regression requires labels in {0, 1}");
-    }
-  }
+  M3_RETURN_IF_ERROR(CheckInputs(x.rows(), x.cols(), y, 2));
   LogisticRegressionObjective objective(x, y, options_.l2,
                                         options_.chunk_rows, options_.hooks);
-  objective.set_pipeline(options_.pipeline);
-  la::Vector params(x.cols() + 1);  // zero init
-  Lbfgs optimizer(options_.lbfgs);
-  M3_ASSIGN_OR_RETURN(OptimizationResult result,
-                      optimizer.Minimize(&objective, params));
-  if (stats != nullptr) {
-    *stats = result;
-  }
-  LogisticRegressionModel model;
-  model.weights = la::Vector(x.cols());
-  la::Copy(params.View().Slice(0, x.cols()), model.weights);
-  model.intercept = params[x.cols()];
-  return model;
+  M3_ASSIGN_OR_RETURN(la::Vector params,
+                      FitFromZero(&objective, options_.pipeline,
+                                  options_.lbfgs, stats));
+  return ToLogisticModel(params);
+}
+
+SparseLogisticRegression::SparseLogisticRegression(
+    SparseLogisticRegressionOptions options)
+    : options_(std::move(options)) {}
+
+Result<LogisticRegressionModel> SparseLogisticRegression::Train(
+    const la::CsrView& x, la::ConstVectorView y,
+    OptimizationResult* stats) const {
+  M3_RETURN_IF_ERROR(CheckInputs(x.rows(), x.cols(), y, 2));
+  SparseLogisticRegressionObjective objective(
+      x, y, options_.l2, options_.chunk_rows, options_.chunk_nnz_bytes,
+      options_.hooks);
+  M3_ASSIGN_OR_RETURN(la::Vector params,
+                      FitFromZero(&objective, options_.pipeline,
+                                  options_.lbfgs, stats));
+  return ToLogisticModel(params);
 }
 
 // ---------------------------------------------------------------------------
 // Softmax regression
 // ---------------------------------------------------------------------------
 
-SoftmaxRegressionObjective::SoftmaxRegressionObjective(
-    la::ConstMatrixView x, la::ConstVectorView y, size_t num_classes,
-    double l2, size_t chunk_rows, ScanHooks hooks)
-    : ChunkedObjective(la::AutoChunkRows(x.cols(), chunk_rows), std::move(hooks)),
-      x_(x),
-      y_(y),
-      num_classes_(num_classes),
-      l2_(l2) {
-  M3_CHECK(x_.rows() == y_.size(), "labels size mismatch");
-  M3_CHECK(num_classes_ >= 2, "need at least 2 classes");
+template <typename Rows>
+std::unique_ptr<la::Chunker> SoftmaxObjective<Rows>::MakeChunker() const {
+  return MakeRowsChunker(x_, chunk_rows_, /*chunk_nnz_bytes=*/0);
 }
 
-double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
-                                                 la::ConstVectorView w,
-                                                 la::VectorView grad) {
+template <typename Rows>
+double SoftmaxObjective<Rows>::EvaluateChunk(size_t begin, size_t end,
+                                             la::ConstVectorView w,
+                                             la::VectorView grad) {
   const size_t d = x_.cols();
   const size_t k = num_classes_;
   const size_t stride = d + 1;  // per-class weights + bias
@@ -175,11 +258,11 @@ double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
     std::vector<double> scores(k);
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
-      la::ConstVectorView xi = x_.Row(r);
+      const auto xi = x_.Row(r);
       double max_score = -1e300;
       for (size_t c = 0; c < k; ++c) {
         la::ConstVectorView wc = w.Slice(c * stride, d);
-        scores[c] = la::Dot(xi, wc) + w[c * stride + d];
+        scores[c] = RowDot(xi, wc) + w[c * stride + d];
         max_score = std::max(max_score, scores[c]);
       }
       double sum_exp = 0;
@@ -193,7 +276,7 @@ double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
       for (size_t c = 0; c < k; ++c) {
         const double p = scores[c] / sum_exp;
         const double coeff = (p - (c == label ? 1.0 : 0.0)) * inv_n;
-        la::Axpy(coeff, xi, partial.View().Slice(c * stride, d));
+        RowAxpy(coeff, xi, partial.View().Slice(c * stride, d));
         partial[c * stride + d] += coeff;
       }
     }
@@ -207,8 +290,9 @@ double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
   return chunk_loss * inv_n;
 }
 
-double SoftmaxRegressionObjective::ApplyRegularization(la::ConstVectorView w,
-                                                       la::VectorView grad) {
+template <typename Rows>
+double SoftmaxObjective<Rows>::ApplyRegularization(la::ConstVectorView w,
+                                                   la::VectorView grad) {
   if (l2_ <= 0) {
     return 0.0;
   }
@@ -222,6 +306,9 @@ double SoftmaxRegressionObjective::ApplyRegularization(la::ConstVectorView w,
   }
   return loss;
 }
+
+template class SoftmaxObjective<la::ConstMatrixView>;
+template class SoftmaxObjective<la::CsrView>;
 
 size_t SoftmaxRegressionModel::Predict(la::ConstVectorView x) const {
   size_t best = 0;
@@ -242,32 +329,12 @@ SoftmaxRegression::SoftmaxRegression(SoftmaxRegressionOptions options)
 Result<SoftmaxRegressionModel> SoftmaxRegression::Train(
     la::ConstMatrixView x, la::ConstVectorView y, size_t num_classes,
     OptimizationResult* stats) const {
-  if (x.rows() == 0 || x.cols() == 0) {
-    return Status::InvalidArgument("empty training data");
-  }
-  if (x.rows() != y.size()) {
-    return Status::InvalidArgument("labels size does not match rows");
-  }
-  if (num_classes < 2) {
-    return Status::InvalidArgument("need at least 2 classes");
-  }
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0 || y[i] >= static_cast<double>(num_classes) ||
-        y[i] != std::floor(y[i])) {
-      return Status::InvalidArgument(
-          "labels must be integers in [0, num_classes)");
-    }
-  }
+  M3_RETURN_IF_ERROR(CheckInputs(x.rows(), x.cols(), y, num_classes));
   SoftmaxRegressionObjective objective(x, y, num_classes, options_.l2,
                                        options_.chunk_rows, options_.hooks);
-  objective.set_pipeline(options_.pipeline);
-  la::Vector params(objective.Dimension());
-  Lbfgs optimizer(options_.lbfgs);
-  M3_ASSIGN_OR_RETURN(OptimizationResult result,
-                      optimizer.Minimize(&objective, params));
-  if (stats != nullptr) {
-    *stats = result;
-  }
+  M3_ASSIGN_OR_RETURN(la::Vector params,
+                      FitFromZero(&objective, options_.pipeline,
+                                  options_.lbfgs, stats));
   const size_t d = x.cols();
   const size_t stride = d + 1;
   SoftmaxRegressionModel model;

@@ -68,11 +68,32 @@ Status WriteVector(io::BufferedWriter* writer, la::ConstVectorView v) {
   return writer->Append(v.data(), n * sizeof(double));
 }
 
-Result<la::Vector> ReadVector(io::BufferedReader* reader) {
+/// A declared payload of rows x cols doubles must fit in the bytes left in
+/// the file. Checked before anything is allocated, so a few corrupt size
+/// bytes can neither demand gigabytes nor yield a shape without storage.
+Status CheckPayloadFits(const io::BufferedReader& reader,
+                        const std::string& path, uint64_t rows,
+                        uint64_t cols) {
+  const uint64_t left = reader.file_size() - reader.position();
+  // Divide rather than multiply: rows and cols may both be 2^32, whose
+  // product wraps to 0.
+  if (cols != 0 && rows > left / sizeof(double) / cols) {
+    return Status::InvalidArgument(util::StrFormat(
+        "model file %s declares %llu x %llu doubles but has %llu bytes left",
+        path.c_str(), static_cast<unsigned long long>(rows),
+        static_cast<unsigned long long>(cols),
+        static_cast<unsigned long long>(left)));
+  }
+  return Status::OK();
+}
+
+Result<la::Vector> ReadVector(io::BufferedReader* reader,
+                              const std::string& path) {
   M3_ASSIGN_OR_RETURN(uint64_t n, reader->ReadValue<uint64_t>());
   if (n > (1ull << 32)) {
     return Status::InvalidArgument("unreasonable vector size in model file");
   }
+  M3_RETURN_IF_ERROR(CheckPayloadFits(*reader, path, n, 1));
   la::Vector v(static_cast<size_t>(n));
   M3_RETURN_IF_ERROR(reader->ReadExact(v.data(), n * sizeof(double)));
   return v;
@@ -90,12 +111,14 @@ Status WriteMatrix(io::BufferedWriter* writer, la::ConstMatrixView m) {
   return Status::OK();
 }
 
-Result<la::Matrix> ReadMatrix(io::BufferedReader* reader) {
+Result<la::Matrix> ReadMatrix(io::BufferedReader* reader,
+                              const std::string& path) {
   M3_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadValue<uint64_t>());
   M3_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadValue<uint64_t>());
   if (rows > (1ull << 32) || cols > (1ull << 32)) {
     return Status::InvalidArgument("unreasonable matrix size in model file");
   }
+  M3_RETURN_IF_ERROR(CheckPayloadFits(*reader, path, rows, cols));
   la::Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
   if (rows * cols > 0) {
     M3_RETURN_IF_ERROR(
@@ -120,7 +143,7 @@ Result<LogisticRegressionModel> LoadLogisticRegressionModel(
   M3_ASSIGN_OR_RETURN(io::BufferedReader reader,
                       OpenExpectingKind(path, ModelKind::kLogisticRegression));
   LogisticRegressionModel model;
-  M3_ASSIGN_OR_RETURN(model.weights, ReadVector(&reader));
+  M3_ASSIGN_OR_RETURN(model.weights, ReadVector(&reader, path));
   M3_ASSIGN_OR_RETURN(model.intercept, reader.ReadValue<double>());
   return model;
 }
@@ -139,8 +162,8 @@ Result<SoftmaxRegressionModel> LoadSoftmaxRegressionModel(
   M3_ASSIGN_OR_RETURN(io::BufferedReader reader,
                       OpenExpectingKind(path, ModelKind::kSoftmaxRegression));
   SoftmaxRegressionModel model;
-  M3_ASSIGN_OR_RETURN(model.weights, ReadMatrix(&reader));
-  M3_ASSIGN_OR_RETURN(model.biases, ReadVector(&reader));
+  M3_ASSIGN_OR_RETURN(model.weights, ReadMatrix(&reader, path));
+  M3_ASSIGN_OR_RETURN(model.biases, ReadVector(&reader, path));
   if (model.biases.size() != model.weights.rows()) {
     return Status::InvalidArgument("softmax model is internally inconsistent");
   }
@@ -157,7 +180,7 @@ Status SaveCenters(const std::string& path, const la::Matrix& centers) {
 Result<la::Matrix> LoadCenters(const std::string& path) {
   M3_ASSIGN_OR_RETURN(io::BufferedReader reader,
                       OpenExpectingKind(path, ModelKind::kKMeansCenters));
-  return ReadMatrix(&reader);
+  return ReadMatrix(&reader, path);
 }
 
 }  // namespace m3::ml

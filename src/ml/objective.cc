@@ -17,15 +17,6 @@ struct ChunkPartial {
 
 }  // namespace
 
-double ChunkedObjective::ApplyRegularization(la::ConstVectorView,
-                                             la::VectorView) {
-  return 0.0;
-}
-
-std::unique_ptr<la::Chunker> ChunkedObjective::MakeChunker() const {
-  return std::make_unique<la::RowChunker>(NumRows(), chunk_rows_);
-}
-
 double ChunkedObjective::EvaluateWithGradient(la::ConstVectorView w,
                                               la::VectorView grad) {
   if (hooks_.before_pass) {

@@ -50,7 +50,7 @@ struct ScanHooks {
 /// mini-batch SGD trainer (the paper's §4 online-learning extension).
 ///
 /// The base class owns the sequential chunked scan: EvaluateWithGradient
-/// drives EvaluateChunk over a RowChunker schedule through the pipelined
+/// drives EvaluateChunk over MakeChunker()'s chunks through the pipelined
 /// execution engine (`exec::ChunkPipeline`, when one is attached) with
 /// per-chunk partial gradients merged in ascending chunk order. The merge
 /// order is independent of the engine's worker count, so a trained model
@@ -74,9 +74,6 @@ class ChunkedObjective : public DifferentiableFunction {
   double EvaluateWithGradient(la::ConstVectorView w,
                               la::VectorView grad) override;
 
-  /// Rows per sequential scan chunk.
-  size_t chunk_rows() const { return chunk_rows_; }
-
   /// Full data passes performed so far.
   size_t passes() const { return passes_; }
 
@@ -86,23 +83,22 @@ class ChunkedObjective : public DifferentiableFunction {
   exec::ChunkPipeline* pipeline() const { return pipeline_; }
 
  protected:
-  ChunkedObjective(size_t chunk_rows, ScanHooks hooks)
-      : chunk_rows_(chunk_rows), hooks_(std::move(hooks)) {}
+  explicit ChunkedObjective(ScanHooks hooks) : hooks_(std::move(hooks)) {}
 
-  /// The chunker driving EvaluateWithGradient's pass. Default: uniform
-  /// la::RowChunker(NumRows(), chunk_rows()). Sparse objectives override
-  /// with an nnz-budget la::SparseChunker so ragged rows still yield
-  /// uniform-cost chunks. Must be deterministic: the chunk boundaries fix
-  /// the FP merge grouping, so the same chunker means the same bits at
-  /// every worker count.
-  virtual std::unique_ptr<la::Chunker> MakeChunker() const;
+  /// The chunker driving EvaluateWithGradient's pass. The loss templates
+  /// (logistic_regression.h) build a la::RowChunker over dense rows, and
+  /// over CSR rows an nnz-budget la::SparseChunker unless uniform row
+  /// chunks are requested, so ragged rows still yield uniform-cost chunks.
+  /// Must be deterministic: the chunk boundaries fix the FP merge
+  /// grouping, so the same chunker means the same bits at every worker
+  /// count.
+  virtual std::unique_ptr<la::Chunker> MakeChunker() const = 0;
 
   /// Adds the per-pass regularization contribution (once per full pass,
-  /// after all chunks merged) and returns its loss term. Default: none.
+  /// after all chunks merged) and returns its loss term.
   virtual double ApplyRegularization(la::ConstVectorView w,
-                                     la::VectorView grad);
+                                     la::VectorView grad) = 0;
 
-  size_t chunk_rows_ = 0;
   ScanHooks hooks_;
   exec::ChunkPipeline* pipeline_ = nullptr;
   size_t passes_ = 0;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <initializer_list>
+#include <string>
 
 #include "io/file.h"
 
@@ -97,6 +100,36 @@ TEST_F(ModelIoTest, TruncatedPayloadRejected) {
   contents.resize(contents.size() - 9);
   ASSERT_TRUE(io::WriteStringToFile(path, contents).ok());
   EXPECT_FALSE(LoadLogisticRegressionModel(path).ok());
+}
+
+// Sizes read from a model file are bounded by the bytes left in it, before
+// anything is allocated: a declared 2^32 x 2^32 matrix (whose element count
+// wraps to 0) or 2^24 weights in a 24-byte file are malformed input.
+TEST_F(ModelIoTest, ImplausibleShapesRejected) {
+  auto file_with = [](uint32_t kind, std::initializer_list<uint64_t> sizes) {
+    const uint32_t header[4] = {0, /*version=*/1, kind, /*reserved=*/0};
+    std::string bytes(reinterpret_cast<const char*>(header), sizeof(header));
+    bytes.replace(0, 4, "M3ML");
+    for (const uint64_t size : sizes) {
+      bytes.append(reinterpret_cast<const char*>(&size), sizeof(size));
+    }
+    return bytes;
+  };
+  const std::string centers = Path("huge_centers.m3ml");
+  ASSERT_TRUE(io::WriteStringToFile(
+                  centers, file_with(/*kind=*/3, {1ull << 32, 1ull << 32}))
+                  .ok());
+  auto loaded_centers = LoadCenters(centers);
+  ASSERT_FALSE(loaded_centers.ok());
+  EXPECT_EQ(loaded_centers.status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  const std::string lr = Path("huge_lr.m3ml");
+  ASSERT_TRUE(
+      io::WriteStringToFile(lr, file_with(/*kind=*/1, {1ull << 24})).ok());
+  auto loaded_lr = LoadLogisticRegressionModel(lr);
+  ASSERT_FALSE(loaded_lr.ok());
+  EXPECT_EQ(loaded_lr.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(ModelIoTest, MissingFileRejected) {

@@ -203,6 +203,38 @@ TEST(SparseObjectiveConformance, TrainedModelsBitwiseEqualDense) {
             0);
 }
 
+// Both trainers reach the same input checks: each malformed input is
+// rejected as InvalidArgument on the dense view and on the CSR view.
+TEST(SparseObjectiveConformance, TrainersRejectTheSameInputs) {
+  const TwinData data = MakeTwin(4, 3, 2, 2, /*seed=*/3);
+  const std::vector<uint64_t> empty_row_ptr(5, 0);
+  struct BadInput {
+    const char* name;
+    la::ConstMatrixView dense;
+    la::CsrView csr;
+    std::vector<double> labels;
+  };
+  const std::vector<BadInput> cases = {
+      {"label outside {0, 1}", data.dense.View(), data.Csr(), {0, 1, 2, 1}},
+      {"label count != rows", data.dense.View(), data.Csr(), {0, 1, 1}},
+      {"zero rows", data.dense.View().RowRange(0, 0),
+       la::CsrView(empty_row_ptr.data(), nullptr, nullptr, 0, 3), {}},
+      {"zero columns", la::ConstMatrixView(data.dense.data(), 4, 0),
+       la::CsrView(empty_row_ptr.data(), nullptr, nullptr, 4, 0),
+       {0, 1, 1, 0}},
+  };
+  for (const BadInput& input : cases) {
+    SCOPED_TRACE(input.name);
+    const la::ConstVectorView y(input.labels.data(), input.labels.size());
+    const auto dense = LogisticRegression().Train(input.dense, y);
+    const auto sparse = SparseLogisticRegression().Train(input.csr, y);
+    ASSERT_FALSE(dense.ok());
+    ASSERT_FALSE(sparse.ok());
+    EXPECT_EQ(dense.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(sparse.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level determinism on mmap'd CSR data (nnz-budget chunking)
 // ---------------------------------------------------------------------------
