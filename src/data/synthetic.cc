@@ -55,27 +55,4 @@ SeparableResult LinearlySeparable(size_t num_points, size_t dims,
   return result;
 }
 
-RegressionResult LinearRegressionData(size_t num_points, size_t dims,
-                                      double noise_sigma, uint64_t seed) {
-  util::Rng rng(seed);
-  RegressionResult result;
-  result.true_weights = la::Vector(dims);
-  for (size_t d = 0; d < dims; ++d) {
-    result.true_weights[d] = rng.Gaussian(0.0, 1.0);
-  }
-  result.true_bias = rng.Gaussian(0.0, 1.0);
-  result.data.features = la::Matrix(num_points, dims);
-  result.data.labels.resize(num_points);
-  for (size_t i = 0; i < num_points; ++i) {
-    for (size_t d = 0; d < dims; ++d) {
-      result.data.features(i, d) = rng.Gaussian(0.0, 1.0);
-    }
-    result.data.labels[i] = la::Dot(result.data.features.Row(i),
-                                    result.true_weights) +
-                            result.true_bias +
-                            rng.Gaussian(0.0, noise_sigma);
-  }
-  return result;
-}
-
 }  // namespace m3::data

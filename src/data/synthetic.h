@@ -39,15 +39,6 @@ struct SeparableResult {
 SeparableResult LinearlySeparable(size_t num_points, size_t dims,
                                   double label_noise, uint64_t seed);
 
-/// \brief Dense regression data y = X w* + b* + N(0, sigma^2).
-struct RegressionResult {
-  LabeledData data;  // labels are the targets
-  la::Vector true_weights;
-  double true_bias = 0;
-};
-RegressionResult LinearRegressionData(size_t num_points, size_t dims,
-                                      double noise_sigma, uint64_t seed);
-
 }  // namespace m3::data
 
 #endif  // M3_DATA_SYNTHETIC_H_

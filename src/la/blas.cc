@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <vector>
 
 #include "la/lanes.h"
 
@@ -96,41 +94,6 @@ void GemvT(double alpha, ConstMatrixView a, ConstVectorView x, double beta,
   }
 }
 
-void Gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
-          MatrixView c) {
-  M3_CHECK(a.cols() == b.rows(), "Gemm: inner dims %zu vs %zu", a.cols(),
-           b.rows());
-  M3_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
-           "Gemm: C shape mismatch");
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  if (beta != 1.0) {
-    for (size_t r = 0; r < m; ++r) {
-      Scal(beta, c.Row(r));
-    }
-  }
-  // ikj loop order with cache blocking on k: streams B rows, accumulates C
-  // rows; good locality for row-major operands.
-  constexpr size_t kBlock = 64;
-  for (size_t k0 = 0; k0 < k; k0 += kBlock) {
-    const size_t k1 = std::min(k, k0 + kBlock);
-    for (size_t i = 0; i < m; ++i) {
-      double* crow = c.Row(i).data();
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const double aik = alpha * a(i, kk);
-        if (aik == 0.0) {
-          continue;
-        }
-        const double* brow = b.Row(kk).data();
-        for (size_t j = 0; j < n; ++j) {
-          crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
-}
-
 void ParallelGemv(double alpha, ConstMatrixView a, ConstVectorView x,
                   double beta, VectorView y, util::ThreadPool* pool) {
   M3_CHECK(a.cols() == x.size() && a.rows() == y.size(),
@@ -143,35 +106,6 @@ void ParallelGemv(double alpha, ConstMatrixView a, ConstVectorView x,
              y.Slice(lo, hi - lo));
       },
       pool);
-}
-
-void ParallelGemvT(double alpha, ConstMatrixView a, ConstVectorView x,
-                   double beta, VectorView y, util::ThreadPool* pool) {
-  M3_CHECK(a.rows() == x.size() && a.cols() == y.size(),
-           "ParallelGemvT shape mismatch");
-  if (beta != 1.0) {
-    Scal(beta, y);
-  }
-  // Per-chunk partials merged in chunk order: the reduction is bitwise
-  // deterministic for a fixed pool size.
-  if (pool == nullptr) {
-    pool = &util::GlobalThreadPool();
-  }
-  const auto ranges =
-      util::PartitionRange(0, a.rows(), /*grain=*/256, pool->num_threads());
-  std::vector<std::vector<double>> partials(ranges.size(),
-                                            std::vector<double>(a.cols()));
-  util::ParallelForIndexed(
-      0, a.rows(), /*grain=*/256,
-      [&](size_t chunk, size_t lo, size_t hi) {
-        VectorView pview(partials[chunk].data(), partials[chunk].size());
-        GemvT(alpha, a.RowRange(lo, hi - lo), x.Slice(lo, hi - lo), 1.0,
-              pview);
-      },
-      pool);
-  for (const auto& partial : partials) {
-    Axpy(1.0, ConstVectorView(partial.data(), partial.size()), y);
-  }
 }
 
 }  // namespace m3::la

@@ -10,7 +10,7 @@ namespace m3::la {
 
 /// \defgroup blas BLAS-style kernels over views
 ///
-/// Hand-rolled level-1/2/3 kernels sufficient for the paper's workloads
+/// Hand-rolled level-1/2 kernels sufficient for the paper's workloads
 /// (logistic regression gradients, k-means distance passes). All kernels
 /// accept views, so they run unchanged on heap memory and mmap'd files.
 
@@ -56,22 +56,12 @@ void Gemv(double alpha, ConstMatrixView a, ConstVectorView x, double beta,
 void GemvT(double alpha, ConstMatrixView a, ConstVectorView x, double beta,
            VectorView y);
 
-/// \brief C = alpha * A * B + beta * C (blocked row-major GEMM).
-/// \pre shapes conform: A(m,k), B(k,n), C(m,n).
-void Gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
-          MatrixView c);
-
 /// \brief Gemv partitioned by rows across the thread pool.
 ///
 /// Equivalent to Gemv; worthwhile for tall matrices (the dataset pass).
 void ParallelGemv(double alpha, ConstMatrixView a, ConstVectorView x,
                   double beta, VectorView y,
                   util::ThreadPool* pool = nullptr);
-
-/// \brief GemvT with per-worker partials reduced at the end.
-void ParallelGemvT(double alpha, ConstMatrixView a, ConstVectorView x,
-                   double beta, VectorView y,
-                   util::ThreadPool* pool = nullptr);
 
 }  // namespace m3::la
 

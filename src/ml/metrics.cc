@@ -23,20 +23,6 @@ double Accuracy(const std::vector<double>& predictions,
   return static_cast<double>(correct) / static_cast<double>(predictions.size());
 }
 
-double MeanSquaredError(const std::vector<double>& predictions,
-                        const std::vector<double>& targets) {
-  M3_CHECK(predictions.size() == targets.size(), "metric size mismatch");
-  if (predictions.empty()) {
-    return 0.0;
-  }
-  double acc = 0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    const double diff = predictions[i] - targets[i];
-    acc += diff * diff;
-  }
-  return acc / static_cast<double>(predictions.size());
-}
-
 double LogLoss(const std::vector<double>& probabilities,
                const std::vector<double>& labels) {
   M3_CHECK(probabilities.size() == labels.size(), "metric size mismatch");

@@ -12,10 +12,6 @@ namespace m3::ml {
 double Accuracy(const std::vector<double>& predictions,
                 const std::vector<double>& truth);
 
-/// \brief Mean squared error between predictions and targets.
-double MeanSquaredError(const std::vector<double>& predictions,
-                        const std::vector<double>& targets);
-
 /// \brief Binary cross-entropy given probabilities in (0,1) and 0/1 labels.
 double LogLoss(const std::vector<double>& probabilities,
                const std::vector<double>& labels);

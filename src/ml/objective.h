@@ -16,10 +16,10 @@ namespace m3::ml {
 
 /// \brief A differentiable objective f: R^d -> R to be minimized.
 ///
-/// Optimizers (L-BFGS, gradient descent) know only this interface; the
-/// data-backed objectives below implement it with sequential chunked scans,
-/// so one `EvaluateWithGradient` call equals one full pass over the dataset
-/// — the unit of I/O the paper's runtime analysis counts.
+/// The optimizer (L-BFGS) knows only this interface; the data-backed
+/// objectives below implement it with sequential chunked scans, so one
+/// `EvaluateWithGradient` call equals one full pass over the dataset — the
+/// unit of I/O the paper's runtime analysis counts.
 class DifferentiableFunction {
  public:
   virtual ~DifferentiableFunction() = default;

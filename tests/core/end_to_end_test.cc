@@ -1,7 +1,6 @@
 // End-to-end pipeline tests over generated digit data: the complete
-// journey a downstream user takes — generate, map, (scale), train, persist,
-// reload, predict — with every stage running against the memory-mapped
-// file.
+// journey a downstream user takes — generate, map, train, persist, reload,
+// predict — with every stage running against the memory-mapped file.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 #include "data/infimnist.h"
 #include "ml/metrics.h"
 #include "ml/model_io.h"
-#include "ml/naive_bayes.h"
-#include "ml/scaler.h"
 
 namespace m3 {
 namespace {
@@ -90,32 +87,6 @@ TEST_F(EndToEndTest, TenClassSoftmaxOnMappedDigits) {
     ASSERT_EQ(model.Predict(test.features().Row(i)),
               reloaded.Predict(test.features().Row(i)));
   }
-}
-
-TEST_F(EndToEndTest, ScaledTrainingImprovesConditioning) {
-  // StandardScaler fit on the mapped file in one pass; training on scaled
-  // copies must reach the same accuracy with a less extreme weight scale.
-  const std::string path = dir_ + "/scale.m3";
-  ASSERT_TRUE(data::GenerateInfimnistDataset(path, 800, 9, true).ok());
-  auto dataset = MappedDataset::Open(path).ValueOrDie();
-
-  auto params = ml::StandardScaler::Fit(dataset.features()).ValueOrDie();
-  // Transform into an owning matrix (the mapped file is read-only).
-  la::Matrix scaled(dataset.rows(), dataset.cols());
-  for (size_t r = 0; r < dataset.rows(); ++r) {
-    ml::StandardScaler::TransformRow(params, dataset.features().Row(r),
-                                     scaled.Row(r));
-  }
-  ml::LogisticRegressionOptions options;
-  options.lbfgs = PaperLbfgsOptions();
-  auto model = ml::LogisticRegression(options)
-                   .Train(scaled, dataset.labels())
-                   .ValueOrDie();
-  std::vector<double> predictions(dataset.rows());
-  for (size_t i = 0; i < dataset.rows(); ++i) {
-    predictions[i] = model.Predict(scaled.Row(i));
-  }
-  EXPECT_GT(ml::Accuracy(predictions, dataset.CopyLabels()), 0.8);
 }
 
 TEST_F(EndToEndTest, KMeansCentersPersistAndReassignIdentically) {

@@ -11,9 +11,7 @@
 #include "core/m3.h"
 #include "data/synthetic.h"
 #include "la/blas.h"
-#include "ml/linear_regression.h"
 #include "ml/metrics.h"
-#include "ml/naive_bayes.h"
 #include "ml/sgd.h"
 
 namespace m3 {
@@ -132,36 +130,6 @@ TEST_F(M3IntegrationTest, SgdRunsOnMappedData) {
     predictions[i] = model.Predict(dataset.features().Row(i));
   }
   EXPECT_GT(ml::Accuracy(predictions, dataset.CopyLabels()), 0.95);
-}
-
-TEST_F(M3IntegrationTest, NaiveBayesAndLinearRegressionRunOnMappedData) {
-  data::RegressionResult reg = data::LinearRegressionData(1000, 5, 0.1, 31);
-  const std::string reg_path = dir_ + "/reg.m3";
-  ASSERT_TRUE(
-      data::WriteDataset(reg_path, reg.data.features, reg.data.labels, 0)
-          .ok());
-  auto reg_ds = MappedDataset::Open(reg_path).ValueOrDie();
-  auto lin_model = ml::LinearRegression()
-                       .Train(reg_ds.features(), reg_ds.labels())
-                       .ValueOrDie();
-  for (size_t d = 0; d < 5; ++d) {
-    EXPECT_NEAR(lin_model.weights[d], reg.true_weights[d], 0.05);
-  }
-
-  data::BlobsResult blobs = data::GaussianBlobs(1000, 4, 3, 0.8, 17);
-  const std::string nb_path = dir_ + "/nb.m3";
-  ASSERT_TRUE(
-      data::WriteDataset(nb_path, blobs.data.features, blobs.data.labels, 3)
-          .ok());
-  auto nb_ds = MappedDataset::Open(nb_path).ValueOrDie();
-  auto nb_model =
-      ml::NaiveBayes().Train(nb_ds.features(), nb_ds.labels(), 3).ValueOrDie();
-  std::vector<double> predictions(1000);
-  for (size_t i = 0; i < 1000; ++i) {
-    predictions[i] =
-        static_cast<double>(nb_model.Predict(nb_ds.features().Row(i)));
-  }
-  EXPECT_GT(ml::Accuracy(predictions, nb_ds.CopyLabels()), 0.95);
 }
 
 TEST_F(M3IntegrationTest, MmapAllocDoublesImplementsTableOne) {

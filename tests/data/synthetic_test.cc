@@ -92,28 +92,5 @@ TEST(LinearlySeparableTest, ClassesRoughlyBalanced) {
   EXPECT_LT(positives, 1700.0);
 }
 
-TEST(LinearRegressionDataTest, NoiselessTargetsExactlyLinear) {
-  RegressionResult reg = LinearRegressionData(100, 5, 0.0, 42);
-  for (size_t i = 0; i < 100; ++i) {
-    const double expected =
-        la::Dot(reg.data.features.Row(i), reg.true_weights) + reg.true_bias;
-    ASSERT_NEAR(reg.data.labels[i], expected, 1e-12);
-  }
-}
-
-TEST(LinearRegressionDataTest, NoiseIncreasesResidual) {
-  RegressionResult noisy = LinearRegressionData(500, 5, 2.0, 42);
-  double sum_sq = 0;
-  for (size_t i = 0; i < 500; ++i) {
-    const double residual =
-        noisy.data.labels[i] -
-        (la::Dot(noisy.data.features.Row(i), noisy.true_weights) +
-         noisy.true_bias);
-    sum_sq += residual * residual;
-  }
-  const double rmse = std::sqrt(sum_sq / 500);
-  EXPECT_NEAR(rmse, 2.0, 0.4);
-}
-
 }  // namespace
 }  // namespace m3::data

@@ -180,65 +180,6 @@ TEST(BlasTest, GemvTransposeConsistency) {
   }
 }
 
-TEST(BlasTest, GemmMatchesNaive) {
-  util::Rng rng(31);
-  Matrix a = RandomMatrix(7, 5, &rng);
-  Matrix b = RandomMatrix(5, 9, &rng);
-  Matrix c(7, 9);
-  Gemm(1.0, a, b, 0.0, c);
-  for (size_t i = 0; i < 7; ++i) {
-    for (size_t j = 0; j < 9; ++j) {
-      double expected = 0;
-      for (size_t k = 0; k < 5; ++k) {
-        expected += a(i, k) * b(k, j);
-      }
-      ASSERT_NEAR(c(i, j), expected, 1e-12);
-    }
-  }
-}
-
-TEST(BlasTest, GemmAlphaBetaComposition) {
-  util::Rng rng(41);
-  Matrix a = RandomMatrix(4, 4, &rng);
-  Matrix b = RandomMatrix(4, 4, &rng);
-  Matrix c = RandomMatrix(4, 4, &rng);
-  Matrix expected = c;
-  // expected = 2*A*B + 3*C computed naively.
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      double acc = 0;
-      for (size_t k = 0; k < 4; ++k) {
-        acc += a(i, k) * b(k, j);
-      }
-      expected(i, j) = 2.0 * acc + 3.0 * c(i, j);
-    }
-  }
-  Gemm(2.0, a, b, 3.0, c);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      ASSERT_NEAR(c(i, j), expected(i, j), 1e-12);
-    }
-  }
-}
-
-TEST(BlasTest, GemmBlockingCrossesBlockBoundary) {
-  // k = 130 exceeds the 64-wide block: checks block loop seams.
-  util::Rng rng(51);
-  Matrix a = RandomMatrix(3, 130, &rng);
-  Matrix b = RandomMatrix(130, 2, &rng);
-  Matrix c(3, 2);
-  Gemm(1.0, a, b, 0.0, c);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 2; ++j) {
-      double expected = 0;
-      for (size_t k = 0; k < 130; ++k) {
-        expected += a(i, k) * b(k, j);
-      }
-      ASSERT_NEAR(c(i, j), expected, 1e-10);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Parameterized property sweep: parallel kernels must agree with their
 // sequential counterparts for a range of shapes that straddle the grain.
@@ -262,20 +203,6 @@ TEST_P(ParallelKernelTest, ParallelGemvMatchesSequential) {
   ParallelGemv(1.7, a, x, 0.3, y_par);
   for (size_t i = 0; i < p.rows; ++i) {
     ASSERT_NEAR(y_seq[i], y_par[i], 1e-10) << "row " << i;
-  }
-}
-
-TEST_P(ParallelKernelTest, ParallelGemvTMatchesSequential) {
-  const ShapeParam p = GetParam();
-  util::Rng rng(71 + p.cols);
-  Matrix a = RandomMatrix(p.rows, p.cols, &rng);
-  Vector x = RandomVector(p.rows, &rng);
-  Vector y_seq = RandomVector(p.cols, &rng);
-  Vector y_par = y_seq;
-  GemvT(0.9, a, x, 1.1, y_seq);
-  ParallelGemvT(0.9, a, x, 1.1, y_par);
-  for (size_t i = 0; i < p.cols; ++i) {
-    ASSERT_NEAR(y_seq[i], y_par[i], 1e-9) << "col " << i;
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "la/blas.h"
-#include "ml/gradient_descent.h"
 
 namespace m3::ml {
 namespace {
@@ -250,48 +249,6 @@ TEST(LbfgsTest, StepThatIsNotTheLastProbeIsEvaluated) {
   const std::vector<std::vector<double>> expected = {
       {0.0}, {1.0}, {0.5}, {0.75}, {0.5}};
   EXPECT_EQ(f.points(), expected);
-}
-
-TEST(GradientDescentTest, MinimizesQuadratic) {
-  Quadratic f({1, 4}, {2, -1});
-  la::Vector w(2);
-  GradientDescentOptions options;
-  options.max_iterations = 1000;
-  GradientDescent optimizer(options);
-  auto result = optimizer.Minimize(&f, w);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(w[0], 2.0, 1e-4);
-  EXPECT_NEAR(w[1], -1.0, 1e-4);
-}
-
-TEST(GradientDescentTest, BacktrackingHandlesHugeInitialStep) {
-  Quadratic f({100, 100}, {0, 0});
-  la::Vector w(2);
-  w[0] = w[1] = 10;
-  GradientDescentOptions options;
-  options.initial_step = 1e6;  // would explode without backtracking
-  options.max_iterations = 500;
-  GradientDescent optimizer(options);
-  auto result = optimizer.Minimize(&f, w);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(w[0], 0.0, 1e-3);
-}
-
-TEST(GradientDescentTest, LbfgsNeedsFewerPassesOnIllConditioned) {
-  // The ablation behind using L-BFGS in the paper: far fewer data passes
-  // than first-order descent on an ill-conditioned objective.
-  Quadratic f_gd({1e-2, 1e2}, {1, 1});
-  Quadratic f_lb({1e-2, 1e2}, {1, 1});
-  la::Vector w_gd(2), w_lb(2);
-  GradientDescentOptions gd_options;
-  gd_options.max_iterations = 100000;
-  gd_options.gradient_tolerance = 1e-6;
-  auto gd = GradientDescent(gd_options).Minimize(&f_gd, w_gd).ValueOrDie();
-  LbfgsOptions lb_options;
-  lb_options.gradient_tolerance = 1e-6;
-  auto lb = Lbfgs(lb_options).Minimize(&f_lb, w_lb).ValueOrDie();
-  EXPECT_TRUE(lb.converged);
-  EXPECT_LT(lb.function_evaluations, gd.function_evaluations / 10);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "la/blas.h"
-#include "ml/gradient_descent.h"
 #include "ml/lbfgs.h"
 #include "util/random.h"
 
@@ -109,29 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepParam{1, 1.0}, SweepParam{2, 1e2},
                       SweepParam{5, 1e4}, SweepParam{20, 1e3},
                       SweepParam{50, 1e2}, SweepParam{100, 10.0}),
-    [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return "dim" + std::to_string(info.param.dim) + "_cond" +
-             std::to_string(static_cast<int>(info.param.condition));
-    });
-
-class GdPropertyTest : public ::testing::TestWithParam<SweepParam> {};
-
-TEST_P(GdPropertyTest, ConvergesOnModerateConditioning) {
-  const SweepParam p = GetParam();
-  DiagonalQuadratic f(p.dim, p.condition, 3);
-  la::Vector w(p.dim);
-  GradientDescentOptions options;
-  options.max_iterations = 50000;
-  options.gradient_tolerance = 1e-6;
-  auto result = GradientDescent(options).Minimize(&f, w);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(f.DistanceToOptimum(w), 1e-2);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Conditioning, GdPropertyTest,
-    ::testing::Values(SweepParam{2, 1.0}, SweepParam{5, 50.0},
-                      SweepParam{10, 100.0}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       return "dim" + std::to_string(info.param.dim) + "_cond" +
              std::to_string(static_cast<int>(info.param.condition));
