@@ -30,10 +30,12 @@ ml::ScanHooks RamBudgetEmulator::MakeHooks() {
 
 void RamBudgetEmulator::OnPass(size_t) {
   ++passes_;
-  // A new pass starts from row 0; whatever the previous pass evicted is
-  // gone, and the tail window it left resident will be evicted as this
-  // pass's cursor moves past budget distance. Reset the cursor so eviction
-  // tracks this pass's progress.
+  // A new pass starts from row 0, so the cursor restarts there. Nothing
+  // evicts the previous pass's tail (its last budget of bytes): it stays
+  // resident until this scan returns to it, which is the emulator's only
+  // reuse. So the budget holds at pass boundaries, while mid-pass residency
+  // reaches up to two budgets (this pass's trailing window plus that tail)
+  // plus readahead.
   evict_cursor_ = 0;
 }
 

@@ -5,9 +5,21 @@
 
 #include "la/lanes.h"
 
+// Starts each hot loop of the kernels below on a 64-byte line. GCC places
+// every object's cold code (.text.unlikely) ahead of all hot .text, so
+// cold code added anywhere else shifts these loops. One such shift put
+// Axpy's vector loop across two lines and made an in-RAM logistic
+// regression iteration 1.18x slower with identical instructions. GCC
+// only: clang does not know `optimize`.
+#if defined(__GNUC__) && !defined(__clang__)
+#define M3_ALIGN_LOOPS __attribute__((optimize("align-loops=64")))
+#else
+#define M3_ALIGN_LOOPS
+#endif
+
 namespace m3::la {
 
-double Dot(ConstVectorView x, ConstVectorView y) {
+M3_ALIGN_LOOPS double Dot(ConstVectorView x, ConstVectorView y) {
   M3_CHECK(x.size() == y.size(), "Dot size mismatch %zu vs %zu", x.size(),
            y.size());
   const double* px = x.data();
@@ -16,7 +28,7 @@ double Dot(ConstVectorView x, ConstVectorView y) {
                            [px, py](size_t i) { return px[i] * py[i]; });
 }
 
-void Axpy(double alpha, ConstVectorView x, VectorView y) {
+M3_ALIGN_LOOPS void Axpy(double alpha, ConstVectorView x, VectorView y) {
   M3_CHECK(x.size() == y.size(), "Axpy size mismatch %zu vs %zu", x.size(),
            y.size());
   const size_t n = x.size();
@@ -53,7 +65,7 @@ double AbsMax(ConstVectorView x) {
   return best;
 }
 
-double SquaredDistance(ConstVectorView x, ConstVectorView y) {
+M3_ALIGN_LOOPS double SquaredDistance(ConstVectorView x, ConstVectorView y) {
   M3_CHECK(x.size() == y.size(), "SquaredDistance size mismatch");
   const double* px = x.data();
   const double* py = y.data();

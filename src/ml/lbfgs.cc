@@ -16,17 +16,35 @@ namespace {
 
 /// State shared by the line-search helpers: evaluates
 /// phi(alpha) = f(w + alpha * d) and phi'(alpha) = grad . d.
+///
+/// The opening probe of a line is a pass. Once it fails, a data-backed
+/// objective that can restrict itself to the line (ChunkedObjective::
+/// PrepareLine) spends one pass storing what the later probes need, which
+/// counts as one evaluation, and answers every later probe of the line
+/// without a pass.
 struct LineProbe {
   DifferentiableFunction* function;
+  ChunkedObjective* chunked;  // `function` if it is data-backed, else null
   la::ConstVectorView w0;
   la::ConstVectorView direction;
   la::VectorView w_trial;    // scratch: w0 + alpha d
   la::VectorView grad_trial; // scratch: gradient at w_trial
   size_t* evaluations;
-  double last_alpha = 0;  // step of the latest Eval; w_trial is at it
+  size_t probes = 0;         // probes of this line so far
+  bool on_line = false;      // later probes go to chunked->EvalLine
+  double last_alpha = 0;  // step of the latest pass probe; w_trial is at it
   double last_value = 0;  // f(w_trial)
 
   double Eval(double alpha, double* derivative) {
+    ++probes;
+    if (probes == 2 && chunked != nullptr &&
+        chunked->PrepareLine(w0, direction)) {
+      ++*evaluations;  // the margin pass
+      on_line = true;
+    }
+    if (on_line) {
+      return chunked->EvalLine(alpha, derivative);
+    }
     la::Copy(w0, w_trial);
     la::Axpy(alpha, direction, w_trial);
     const double value =
@@ -125,9 +143,8 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
   la::Vector grad(n), grad_prev(n), direction(n);
   la::Vector w_trial(n), grad_trial(n), w_prev(n);
 
-  const auto* chunked_before = dynamic_cast<ChunkedObjective*>(function);
-  const size_t passes_before =
-      chunked_before != nullptr ? chunked_before->passes() : 0;
+  auto* chunked = dynamic_cast<ChunkedObjective*>(function);
+  const size_t passes_before = chunked != nullptr ? chunked->passes() : 0;
 
   double f = function->EvaluateWithGradient(w, grad);
   ++result.function_evaluations;
@@ -177,8 +194,8 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
     const double df0 = la::Dot(grad, direction);
     la::Copy(w, w_prev);
     la::Copy(grad, grad_prev);
-    LineProbe probe{function, w_prev, direction, w_trial, grad_trial,
-                    &result.function_evaluations};
+    LineProbe probe{function, chunked,    w_prev, direction,
+                    w_trial,  grad_trial, &result.function_evaluations};
     // After the first update the two-loop recursion scales the direction
     // properly, so a unit step is the right opening probe. On the very
     // first iteration the direction is the raw (unscaled) negative
@@ -197,11 +214,13 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
       break;
     }
 
-    // Accept w = w_prev + step * direction. When the step is the one the
-    // search probed last, w_trial was built by the same Copy + Axpy and the
+    // Accept w = w_prev + step * direction. When the step is the search's
+    // latest pass probe, w_trial was built by the same Copy + Axpy and the
     // objective is deterministic, so the probe already holds the point, its
     // value and its gradient bit for bit: keep them instead of another pass.
-    // Zoom can fall back to an earlier probe; evaluate at that one.
+    // Otherwise (zoom fell back to an earlier probe, or the step came from
+    // EvalLine, whose values are exact only to rounding) evaluate the step
+    // with a pass, so the iterate, f and the gradient are a pass's bits.
     double f_new = probe.last_value;
     if (step == probe.last_alpha) {
       la::Copy(w_trial, w);
@@ -249,7 +268,7 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
   }
   // Every evaluation of a chunked objective is one engine-driven pass over
   // the data; report how many this run performed (the paper's I/O unit).
-  if (auto* chunked = dynamic_cast<ChunkedObjective*>(function)) {
+  if (chunked != nullptr) {
     result.data_passes = chunked->passes() - passes_before;
   }
   return result;

@@ -16,7 +16,9 @@ struct OptimizationResult {
   double gradient_norm = 0;          ///< final ||grad||
   size_t iterations = 0;             ///< outer iterations performed
   /// Objective evaluations: one data pass each for a ChunkedObjective,
-  /// one job each for the cluster driver.
+  /// one job each for the cluster driver. A line search's margin pass
+  /// (ChunkedObjective::PrepareLine) counts as one; the probes it answers
+  /// count as none.
   size_t function_evaluations = 0;
   /// Sequential data passes the objective actually performed (from
   /// ChunkedObjective::passes(); equals function_evaluations for chunked
@@ -48,11 +50,16 @@ struct LbfgsOptions {
 /// (Nocedal & Wright, Algorithms 3.5/3.6 + 7.4 two-loop recursion).
 ///
 /// This is the optimizer the paper uses for logistic regression ("10
-/// iterations of L-BFGS"). Each line-search probe is a full pass over the
-/// data, which is why L-BFGS on a memory-mapped out-of-core dataset is
-/// I/O-bound: every evaluation streams the file once. The accepted probe's
-/// value and gradient are kept rather than evaluated again, so an
-/// iteration whose first probe is accepted costs one pass.
+/// iterations of L-BFGS"). Every evaluation streams the file once, which is
+/// why L-BFGS on a memory-mapped out-of-core dataset is I/O-bound. A line
+/// search's opening probe is a full pass. If it fails and the objective
+/// can restrict itself to the line (ChunkedObjective::PrepareLine), one
+/// more pass stores what the line's later probes need and they cost no
+/// pass; otherwise each probe is a pass. The accepted step's value and
+/// gradient are kept when it is the latest pass probe, and evaluated with
+/// a pass otherwise. So an iteration whose opening probe is accepted costs
+/// one pass, and one whose opening probe fails costs three on the logistic
+/// loss; the trained bits are those of a pass per probe.
 class Lbfgs {
  public:
   explicit Lbfgs(LbfgsOptions options = LbfgsOptions());

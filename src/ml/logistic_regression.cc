@@ -115,6 +115,10 @@ Result<la::Vector> FitFromZero(ChunkedObjective* objective,
   return params;
 }
 
+/// The margin pass writes its rows in place, so its chunks have nothing to
+/// merge.
+struct NoPartial {};
+
 /// LogisticObjective's parameters (weights, then intercept) as a model.
 LogisticRegressionModel ToLogisticModel(const la::Vector& params) {
   const size_t d = params.size() - 1;
@@ -184,6 +188,69 @@ double LogisticObjective<Rows>::ApplyRegularization(la::ConstVectorView w,
   la::ConstVectorView weights = w.Slice(0, d);
   la::Axpy(l2_, weights, grad.Slice(0, d));
   return 0.5 * l2_ * la::Dot(weights, weights);
+}
+
+template <typename Rows>
+bool LogisticObjective<Rows>::PrepareLine(la::ConstVectorView w0,
+                                          la::ConstVectorView d) {
+  if (line_w0_.size() == 0) {  // the first line that needs the margins
+    line_w0_ = la::Vector(Dimension());
+    line_d_ = la::Vector(Dimension());
+    z0_ = la::Vector(NumRows());
+    u_ = la::Vector(NumRows());
+  }
+  la::Copy(w0, line_w0_);
+  la::Copy(d, line_d_);
+  const size_t cols = x_.cols();
+  la::ConstVectorView w0_weights = w0.Slice(0, cols);
+  la::ConstVectorView d_weights = d.Slice(0, cols);
+  const double b0 = w0[cols];
+  const double d_b = d[cols];
+  // Each row's margins are its own, so splitting a chunk across the pool
+  // does not reach the bits.
+  MapReducePass<NoPartial>(
+      [&](size_t, size_t begin, size_t end) {
+        util::ParallelFor(begin, end, 512, [&](size_t lo, size_t hi) {
+          for (size_t r = lo; r < hi; ++r) {
+            const auto xi = x_.Row(r);
+            z0_[r] = RowDot(xi, w0_weights) + b0;
+            u_[r] = RowDot(xi, d_weights) + d_b;
+          }
+        });
+        return NoPartial{};
+      },
+      [](size_t, NoPartial&&) {});
+  return true;
+}
+
+template <typename Rows>
+double LogisticObjective<Rows>::EvalLine(double alpha, double* dphi) {
+  M3_CHECK(line_w0_.size() == Dimension(), "EvalLine before PrepareLine");
+  // Rows summed in fixed order on this thread.
+  const size_t n = NumRows();
+  double loss = 0;
+  double slope = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const double z = z0_[r] + alpha * u_[r];
+    loss += Log1pExp(z) - y_[r] * z;
+    slope += (Sigmoid(z) - y_[r]) * u_[r];
+  }
+  const double inv_n = 1.0 / static_cast<double>(std::max<size_t>(1, n));
+  loss *= inv_n;
+  slope *= inv_n;
+  if (l2_ > 0) {
+    // The ridge term on the weights of w0 + alpha d, built by the same
+    // Copy + Axpy that builds a line search's probe point.
+    la::Vector w(Dimension());
+    la::Copy(line_w0_, w);
+    la::Axpy(alpha, line_d_, w);
+    const size_t cols = x_.cols();
+    la::ConstVectorView weights = w.View().Slice(0, cols);
+    loss += 0.5 * l2_ * la::Dot(weights, weights);
+    slope += l2_ * la::Dot(weights, line_d_.View().Slice(0, cols));
+  }
+  *dphi = slope;
+  return loss;
 }
 
 template class LogisticObjective<la::ConstMatrixView>;

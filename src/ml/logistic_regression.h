@@ -43,6 +43,11 @@ namespace m3::ml {
 ///   0 = ~8 MiB payload), so ragged rows still yield uniform-cost chunks.
 /// Boundaries depend only on the data, so results stay bitwise identical
 /// at any worker count and prefetch backend.
+///
+/// Along a line w0 + alpha * d the loss sees the rows only through their
+/// margins z0_i = x_i . w0 + b0 and u_i = x_i . d + d_b, so PrepareLine's
+/// pass stores those two (16 bytes a row of heap, allocated at the first
+/// line that needs them) and EvalLine costs O(rows) arithmetic.
 template <typename Rows>
 class LogisticObjective final : public ChunkedObjective {
  public:
@@ -77,6 +82,9 @@ class LogisticObjective final : public ChunkedObjective {
   double EvaluateChunk(size_t begin, size_t end, la::ConstVectorView w,
                        la::VectorView grad) override;
 
+  bool PrepareLine(la::ConstVectorView w0, la::ConstVectorView d) override;
+  double EvalLine(double alpha, double* dphi) override;
+
  protected:
   double ApplyRegularization(la::ConstVectorView w,
                              la::VectorView grad) override;
@@ -88,6 +96,10 @@ class LogisticObjective final : public ChunkedObjective {
   double l2_;
   size_t chunk_rows_;
   uint64_t chunk_nnz_bytes_ = 0;
+  // The prepared line (origin and direction) and its per-row margins at
+  // w0 (z0) and along d (u).
+  la::Vector line_w0_, line_d_;
+  la::Vector z0_, u_;
 };
 
 /// \brief Multiclass softmax-regression objective (k classes) over dense

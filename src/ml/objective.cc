@@ -1,9 +1,7 @@
 #include "ml/objective.h"
 
-#include "exec/chunk_map_reduce.h"
-#include "exec/chunk_pipeline.h"
 #include "la/blas.h"
-#include "la/chunker.h"
+#include "util/logging.h"
 
 namespace m3::ml {
 
@@ -19,17 +17,10 @@ struct ChunkPartial {
 
 double ChunkedObjective::EvaluateWithGradient(la::ConstVectorView w,
                                               la::VectorView grad) {
-  if (hooks_.before_pass) {
-    hooks_.before_pass(passes_);
-  }
-  ++passes_;
   grad.SetZero();
   double loss = 0;
-  const std::unique_ptr<la::Chunker> chunker_ptr = MakeChunker();
-  const la::Chunker& chunker = *chunker_ptr;
   const size_t dim = Dimension();
-  exec::MapReduceChunks<ChunkPartial>(
-      pipeline_, chunker,
+  MapReducePass<ChunkPartial>(
       [&](size_t, size_t row_begin, size_t row_end) {
         ChunkPartial partial;
         partial.grad = la::Vector(dim);
@@ -37,16 +28,17 @@ double ChunkedObjective::EvaluateWithGradient(la::ConstVectorView w,
             EvaluateChunk(row_begin, row_end, w, partial.grad.View());
         return partial;
       },
-      [&](size_t chunk, ChunkPartial&& partial) {
+      [&](size_t, ChunkPartial&& partial) {
         loss += partial.loss;
         la::Axpy(1.0, partial.grad, grad);
-        if (hooks_.after_chunk) {
-          const la::Chunker::Range range = chunker.Chunk(chunk);
-          hooks_.after_chunk(range.begin, range.end);
-        }
       });
   loss += ApplyRegularization(w, grad);
   return loss;
+}
+
+double ChunkedObjective::EvalLine(double /*alpha*/, double* /*dphi*/) {
+  M3_LOG_FATAL("EvalLine needs a line from a PrepareLine that returned true");
+  return 0;
 }
 
 }  // namespace m3::ml

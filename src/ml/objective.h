@@ -4,13 +4,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <utility>
 
+#include "exec/chunk_map_reduce.h"
 #include "la/chunker.h"
 #include "la/matrix.h"
-
-namespace m3::exec {
-class ChunkPipeline;
-}  // namespace m3::exec
 
 namespace m3::ml {
 
@@ -55,6 +53,10 @@ struct ScanHooks {
 /// per-chunk partial gradients merged in ascending chunk order. The merge
 /// order is independent of the engine's worker count, so a trained model
 /// is bitwise identical in serial mode, at 1 worker, and at N workers.
+///
+/// A subclass may also restrict itself to a line (PrepareLine/EvalLine).
+/// Lbfgs uses that once a line search's opening probe fails: one pass
+/// stores what the later probes of that line need, and they cost no pass.
 class ChunkedObjective : public DifferentiableFunction {
  public:
   /// Rows in the backing dataset.
@@ -73,6 +75,22 @@ class ChunkedObjective : public DifferentiableFunction {
   /// in chunk order, plus the per-pass regularization term.
   double EvaluateWithGradient(la::ConstVectorView w,
                               la::VectorView grad) override;
+
+  /// Restricts the objective to the line w0 + alpha * d with one full
+  /// pass (counted in passes()) that stores what EvalLine needs, and
+  /// returns true. Returns false without a pass when the objective has no
+  /// line restriction, which is the default; a line search then spends a
+  /// pass on every probe.
+  virtual bool PrepareLine(la::ConstVectorView /*w0*/,
+                           la::ConstVectorView /*d*/) {
+    return false;
+  }
+
+  /// phi(alpha) = f(w0 + alpha * d), with phi'(alpha) in `dphi`, on the
+  /// line of the latest PrepareLine that returned true. Reads no data. The
+  /// values agree with EvaluateWithGradient's f and grad . d to rounding,
+  /// not bitwise.
+  virtual double EvalLine(double alpha, double* dphi);
 
   /// Full data passes performed so far.
   size_t passes() const { return passes_; }
@@ -98,6 +116,29 @@ class ChunkedObjective : public DifferentiableFunction {
   /// after all chunks merged) and returns its loss term.
   virtual double ApplyRegularization(la::ConstVectorView w,
                                      la::VectorView grad) = 0;
+
+  /// One full pass over MakeChunker()'s chunks; every pass this class
+  /// makes goes through here. Fires `before_pass`, counts the pass, and
+  /// runs exec::MapReduceChunks through the attached pipeline: `map` may
+  /// run on engine workers, while `reduce` and then `after_chunk` run on
+  /// the calling thread in ascending chunk order.
+  template <typename T, typename MapFn, typename ReduceFn>
+  void MapReducePass(MapFn&& map, ReduceFn&& reduce) {
+    if (hooks_.before_pass) {
+      hooks_.before_pass(passes_);
+    }
+    ++passes_;
+    const std::unique_ptr<la::Chunker> chunker = MakeChunker();
+    exec::MapReduceChunks<T>(
+        pipeline_, *chunker, std::forward<MapFn>(map),
+        [&](size_t chunk, T&& partial) {
+          reduce(chunk, std::move(partial));
+          if (hooks_.after_chunk) {
+            const la::Chunker::Range range = chunker->Chunk(chunk);
+            hooks_.after_chunk(range.begin, range.end);
+          }
+        });
+  }
 
   ScanHooks hooks_;
   exec::ChunkPipeline* pipeline_ = nullptr;
