@@ -26,7 +26,6 @@
 #include "bench/bench_common.h"
 #include "cluster/spark_cluster.h"
 #include "core/m3.h"
-#include "io/io_stats.h"
 #include "la/blas.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
@@ -38,8 +37,18 @@ struct ClusterRun {
   double seconds = 0;
   la::Vector weights;
   cluster::JobStats stats;
-  io::ExecCounters exec;
 };
+
+/// Every partition pipeline's stats over a run: the measured per-instance
+/// stats summed across instances and cache states.
+exec::PipelineStats TotalStats(const cluster::JobStats& stats) {
+  exec::PipelineStats total;
+  for (const cluster::InstanceExecStats& instance : stats.instance_exec) {
+    total += instance.cached;
+    total += instance.spilled;
+  }
+  return total;
+}
 
 ClusterRun RunLr(const cluster::SparkCluster& spark, MappedDataset& dataset,
                  la::ConstVectorView y, size_t iterations,
@@ -57,12 +66,10 @@ ClusterRun RunLr(const cluster::SparkCluster& spark, MappedDataset& dataset,
   }
 
   ClusterRun run;
-  const io::ExecCounters before = io::GlobalExecCounters();
   util::Stopwatch watch;
   auto result = spark.RunLogisticRegression(dataset.features(), y, 1e-4,
                                             lbfgs, region);
   run.seconds = watch.ElapsedSeconds();
-  run.exec = io::GlobalExecCounters() - before;
   if (!result.ok()) {
     std::fprintf(stderr, "distributed LR failed: %s\n",
                  result.status().ToString().c_str());
@@ -169,8 +176,9 @@ int Run(int argc, char** argv) {
   util::TablePrinter table({"instance", "class", "passes", "prefetches",
                             "hits", "stalls", "refaults", "evicted"});
   JsonReporter reporter("cluster_overlap");
-  reporter.Add("inline_reference", baseline.seconds, baseline.exec);
-  reporter.Add("pipelined_total", measured.seconds, measured.exec);
+  reporter.Add("inline_reference", baseline.seconds, exec::PipelineStats());
+  reporter.Add("pipelined_total", measured.seconds,
+               TotalStats(measured.stats));
   uint64_t cached_hits = 0, cached_stalls = 0, refaults = 0;
   for (size_t i = 0; i < measured.stats.instance_exec.size(); ++i) {
     const cluster::InstanceExecStats& instance =
@@ -209,7 +217,6 @@ int Run(int argc, char** argv) {
   table.Print(stdout, csv);
   std::printf("simulated (unchanged by pipelines): %s\n",
               measured.stats.ToString().c_str());
-  PrintExecCounters();
 
   // Close the loop: fit the cost model's spill/overlap/CPU constants from
   // the measured run, then re-run under the calibrated config and report
@@ -242,7 +249,7 @@ int Run(int argc, char** argv) {
         measured_exec, predicted, rerun.stats.jobs,
         (predicted - measured_exec) / per_job);
     reporter.Add(
-        "calibrated_rerun", rerun.seconds, rerun.exec,
+        "calibrated_rerun", rerun.seconds, TotalStats(rerun.stats),
         {{"jobs", rerun.stats.jobs}},
         {{"measured_exec_seconds", measured_exec},
          {"predicted_exec_seconds", predicted},

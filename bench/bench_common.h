@@ -13,7 +13,6 @@
 #include "exec/pipeline_stats.h"
 #include "io/disk_probe.h"
 #include "io/file.h"
-#include "io/io_stats.h"
 #include "io/platform.h"
 #include "obs/trace_session.h"
 #include "util/flags.h"
@@ -114,17 +113,26 @@ inline uint64_t ImagesForMb(uint64_t mb) {
   return (mb << 20) / (data::kImageFeatures * sizeof(double));
 }
 
-/// \brief Prints the process-wide execution-engine counters (prefetch,
-/// evict, pipeline-stall) accumulated since start / the last reset.
-inline void PrintExecCounters() {
-  std::printf("exec: %s\n", io::GlobalExecCounters().ToString().c_str());
+/// \brief The engine stats of everything `dataset` has scanned since it
+/// was opened: its pipeline's PipelineStats with the RAM-budget
+/// emulator's evictions added, since under a sequential scan the emulator,
+/// not the pipeline, evicts behind the scan.
+inline exec::PipelineStats DatasetStats(MappedDataset& dataset) {
+  exec::PipelineStats stats = dataset.pipeline().stats();
+  if (const RamBudgetEmulator* budget = dataset.ram_budget();
+      budget != nullptr) {
+    stats.evictions += budget->evictions();
+    stats.bytes_evicted += budget->bytes_evicted();
+  }
+  return stats;
 }
 
 /// \brief Machine-readable bench output: one BENCH_<name>.json per bench.
 ///
 /// Every measured configuration is recorded with its wall seconds and the
-/// ExecCounters delta it produced, then written as a single JSON document
-/// so CI can track the perf trajectory across PRs without scraping tables:
+/// PipelineStats of the pipelines it ran, then written as a single JSON
+/// document so CI can track the perf trajectory across PRs without
+/// scraping tables:
 ///
 ///   {"bench": "sgd_overlap", "cases": [
 ///     {"name": "pipelined", "seconds": 1.234,
@@ -139,23 +147,9 @@ class JsonReporter {
   /// `extra_doubles` real-valued ones (fit residuals, calibrated
   /// constants) to the case object. A non-finite `seconds` or extra
   /// double poisons the reporter: Write() refuses to emit an unparseable
-  /// file and returns the error instead.
-  ///
-  /// Both overloads render the "exec" object through
-  /// exec::PipelineStats::ToJson() — the one serialization of pipeline
-  /// stats. The ExecCounters overload lifts the counters into a stats
-  /// value first (per-stage seconds and duration percentiles read as 0);
-  /// benches that hold a real pipeline should pass its stats() so the
-  /// stall/compute percentiles land in the JSON.
-  void Add(const std::string& case_name, double seconds,
-           const io::ExecCounters& exec,
-           const std::vector<std::pair<std::string, uint64_t>>& extra = {},
-           const std::vector<std::pair<std::string, double>>& extra_doubles =
-               {}) {
-    Add(case_name, seconds, exec::PipelineStats::FromCounters(exec), extra,
-        extra_doubles);
-  }
-
+  /// file and returns the error instead. The "exec" object is
+  /// exec::PipelineStats::ToJson(), the one serialization of pipeline
+  /// stats; a case that ran no pipeline passes `exec::PipelineStats()`.
   void Add(const std::string& case_name, double seconds,
            const exec::PipelineStats& stats,
            const std::vector<std::pair<std::string, uint64_t>>& extra = {},

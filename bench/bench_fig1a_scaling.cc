@@ -18,6 +18,7 @@
 
 #include "bench/bench_common.h"
 #include "core/m3.h"
+#include "io/io_stats.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
 

@@ -29,7 +29,6 @@
 #include "cluster/process_fleet.h"
 #include "cluster/spark_cluster.h"
 #include "core/m3.h"
-#include "io/io_stats.h"
 #include "la/blas.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
@@ -205,7 +204,7 @@ int Run(int argc, char** argv) {
   util::TablePrinter table({"worker", "class", "passes", "prefetches",
                             "hits", "stalls", "refaults", "evicted"});
   JsonReporter reporter("fleet_overlap");
-  reporter.Add("simulator_total", sim_seconds, io::ExecCounters());
+  reporter.Add("simulator_total", sim_seconds, exec::PipelineStats());
   uint64_t fleet_stalls = 0;
   uint64_t fleet_hits = 0;
   for (size_t w = 0; w < stats.instance_exec.size(); ++w) {
@@ -243,7 +242,7 @@ int Run(int argc, char** argv) {
   const double measured_exec = stats.measured_exec_seconds;
   const double per_job =
       stats.jobs > 0 ? static_cast<double>(stats.jobs) : 1.0;
-  reporter.Add("fleet_total", fleet_seconds, io::ExecCounters(),
+  reporter.Add("fleet_total", fleet_seconds, exec::PipelineStats(),
                {{"fleet", static_cast<uint64_t>(fleet)},
                 {"jobs", stats.jobs},
                 {"resident_pages", resident_pages},

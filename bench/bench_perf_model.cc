@@ -1,11 +1,13 @@
 // §4 future work: "develop mathematical models and systematic approaches
 // to profile and predict algorithm performance".
 //
-// Validates the measurement-calibrated PerfModel: train at the smallest
-// size with the execution engine, fit every model parameter from the
-// measured exec::PipelineStats (core/model_fit::FitFromStats — CPU cost,
-// disk bandwidth, overlap efficiency), then predict the measured engine
-// drive time of the remaining sizes and report the residuals. The fitted
+// Validates the measurement-calibrated PerfModel: train at the first size
+// with the execution engine (repeating the training call until its passes
+// hold at least kMinCalibrationDriveSeconds of drive time), fit every
+// model parameter from the measured exec::PipelineStats
+// (core/model_fit::FitFromStats — CPU cost, disk bandwidth, overlap
+// efficiency), then predict the measured engine drive time of the
+// remaining sizes and report the residuals. The fitted
 // parameters and per-size residuals land in BENCH_perf_model.json; the
 // run exits nonzero when the worst relative residual exceeds
 // --max_residual, which is what lets the nightly job catch silent
@@ -27,6 +29,11 @@
 
 namespace m3::bench {
 namespace {
+
+/// The calibration size repeats whole training calls until its pipeline
+/// has driven at least this much wall time, so the fit rests on a
+/// measurable interval however few passes one call costs.
+constexpr double kMinCalibrationDriveSeconds = 0.25;
 
 int Run(int argc, char** argv) {
   std::string sizes_csv = "8,16,32,64";
@@ -89,7 +96,6 @@ int Run(int argc, char** argv) {
     uint64_t size_mb = 0;
     uint64_t bytes = 0;
     exec::PipelineStats stats;
-    io::ExecCounters exec;
   };
   std::vector<Measurement> measured;
   const std::string path = dir + "/m3_perfmodel.m3";
@@ -100,18 +106,27 @@ int Run(int argc, char** argv) {
     }
     auto dataset = MappedDataset::Open(path).ValueOrDie();
     dataset.mapping().TouchAllPages();  // warm: isolate the CPU term
-    const io::ExecCounters before = io::GlobalExecCounters();
-    ml::OptimizationResult stats;
-    auto model = TrainLogisticRegression(dataset, options, &stats);
-    if (!model.ok()) {
-      std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-      return 1;
-    }
+    const bool calibrating = measured.empty();
+    size_t calls = 0;
+    do {
+      auto model = TrainLogisticRegression(dataset, options);
+      if (!model.ok()) {
+        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
+        return 1;
+      }
+      ++calls;
+    } while (calibrating && dataset.pipeline().stats().drive_seconds <
+                                kMinCalibrationDriveSeconds);
     Measurement m;
     m.size_mb = size_mb;
     m.bytes = dataset.feature_bytes();
-    m.stats = dataset.pipeline().ConsumeStats();
-    m.exec = io::GlobalExecCounters() - before;
+    m.stats = dataset.pipeline().stats();
+    if (calibrating) {
+      std::printf("calibration: %zu training calls, %llu passes, %.3f s "
+                  "drive (at least %.2f s)\n",
+                  calls, static_cast<unsigned long long>(m.stats.passes),
+                  m.stats.drive_seconds, kMinCalibrationDriveSeconds);
+    }
     measured.push_back(m);
   }
   M3_IGNORE_STATUS(io::RemoveFile(path), "best-effort scratch cleanup");
@@ -136,7 +151,7 @@ int Run(int argc, char** argv) {
 
   JsonReporter reporter("perf_model");
   reporter.Add(
-      "fit", calibration.measured_seconds, measured[0].exec, {},
+      "fit", calibration.measured_seconds, measured[0].stats, {},
       {{"cpu_seconds_per_byte", calibration.params.cpu_seconds_per_byte},
        {"disk_read_bytes_per_sec",
         calibration.params.disk_read_bytes_per_sec},
@@ -172,7 +187,7 @@ int Run(int argc, char** argv) {
     reporter.Add(util::StrFormat(
                      "size_%llu_mb",
                      static_cast<unsigned long long>(m.size_mb)),
-                 measured_seconds, m.exec, {},
+                 measured_seconds, m.stats, {},
                  {{"predicted_seconds", predicted},
                   {"residual_seconds", predicted - measured_seconds},
                   {"relative_residual", residual}});

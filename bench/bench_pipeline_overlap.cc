@@ -26,7 +26,7 @@ namespace {
 
 struct EpochResult {
   double seconds = 0;
-  io::ExecCounters exec;
+  exec::PipelineStats stats;
   io::ResourceSample usage;
   std::vector<double> weights;  ///< trained weights (bitwise comparison)
   bool trained = false;         ///< training succeeded; weights are valid
@@ -40,14 +40,13 @@ EpochResult RunConfig(const std::string& path, const M3Options& options,
   ml::LogisticRegressionOptions train_options;
   train_options.lbfgs = PaperLbfgsOptions();
   train_options.lbfgs.max_iterations = iterations;
-  const io::ExecCounters exec_before = io::GlobalExecCounters();
   const io::ResourceSample before = io::ResourceSample::Now();
   util::Stopwatch watch;
   auto model = TrainLogisticRegression(dataset, train_options);
   EpochResult result;
   result.seconds = watch.ElapsedSeconds();
   result.usage = io::ResourceSample::Now() - before;
-  result.exec = io::GlobalExecCounters() - exec_before;
+  result.stats = DatasetStats(dataset);
   if (!model.ok()) {
     std::fprintf(stderr, "training failed: %s\n",
                  model.status().ToString().c_str());
@@ -158,19 +157,19 @@ int Run(int argc, char** argv) {
                   util::StrFormat("%lld",
                                   static_cast<long long>(r.usage.faults.major)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.prefetches)),
+                                              r.stats.prefetches)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.stalls)),
+                                              r.stats.stalls)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.backend_submits)),
+                                              r.stats.backend_submits)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.backend_fallbacks)),
-                  util::HumanBytes(r.exec.bytes_evicted)});
+                                              r.stats.backend_fallbacks)),
+                  util::HumanBytes(r.stats.bytes_evicted)});
   };
   add_row("serial", serial);
 
   JsonReporter reporter("pipeline_overlap");
-  reporter.Add("serial", serial.seconds, serial.exec);
+  reporter.Add("serial", serial.seconds, serial.stats);
 
   double best_seconds = 0;
   std::string best_name;
@@ -189,7 +188,7 @@ int Run(int argc, char** argv) {
     const std::string name =
         "pipelined_" + std::string(io::PrefetchBackendKindToString(kind));
     add_row(name, result);
-    reporter.Add(name, result.seconds, result.exec);
+    reporter.Add(name, result.seconds, result.stats);
     // A failed run is an I/O/training error, not a determinism verdict:
     // only runs that actually trained get their bits compared.
     if (!result.trained) {
@@ -207,7 +206,6 @@ int Run(int argc, char** argv) {
     }
   }
   table.Print(stdout, csv);
-  PrintExecCounters();
   if (any_training_failed) {
     std::printf("weights comparison INCOMPLETE: some configs failed to "
                 "train (see stderr)\n");

@@ -92,7 +92,6 @@ int Run(int argc, char** argv) {
          util::StrFormat("%.2fx", seconds / baseline)});
   }
   table.Print(stdout, csv);
-  PrintExecCounters();
   std::printf("\nexpectation: runtime is flat while budget >= data (zero "
               "eviction), then grows as the budget shrinks — the emulated "
               "version of crossing the paper's 32 GB boundary.\n");

@@ -16,7 +16,6 @@
 #include "bench/bench_common.h"
 #include "core/m3.h"
 #include "exec/chunk_schedule.h"
-#include "io/io_stats.h"
 #include "la/blas.h"
 #include "ml/sgd.h"
 #include "util/flags.h"
@@ -35,12 +34,9 @@ struct SgdConfig {
 struct SgdRun {
   double seconds = 0;
   la::Vector weights;
-  io::ExecCounters exec;
-  /// Engine runs also carry the pipeline's full stats (per-stage seconds,
-  /// stall/compute duration percentiles) for the bench JSON; hand-rolled
-  /// runs have only the counters.
+  /// Engine runs carry their pipeline's stats; the hand-rolled run, which
+  /// has no pipeline, fills in only the evictions it issued itself.
   exec::PipelineStats stats;
-  bool has_stats = false;
 };
 
 struct BenchParams {
@@ -68,10 +64,10 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
                      const BenchParams& params) {
   const ml::SgdOptions sgd = params.MakeSgdOptions();
   const uint64_t row_bytes = dataset.cols() * sizeof(double);
-  // Hand-rolled evictions bypass the engine, so report them to the
-  // process-wide counters ourselves — otherwise the bench table and JSON
-  // would show a baseline that appears to do no eviction work.
-  io::ExecCounters manual;
+  // Hand-rolled evictions bypass the engine, so count them here —
+  // otherwise the bench table and JSON would show a baseline that appears
+  // to do no eviction work.
+  SgdRun run;
   // The final full-data pass must stay under the same budget as the
   // epochs (the engine config evicts on every pass), so hook a linear
   // trailing-cursor eviction onto the objective's full scans.
@@ -91,8 +87,8 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
             .Evict(dataset.meta().features_offset + scan_cursor,
                    evict_end - scan_cursor)
             .ok()) {
-      ++manual.evictions;
-      manual.bytes_evicted += evict_end - scan_cursor;
+      ++run.stats.evictions;
+      run.stats.bytes_evicted += evict_end - scan_cursor;
     }
     scan_cursor = evict_end;
   };
@@ -102,14 +98,12 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
   la::RowChunker chunker(n, sgd.batch_rows);
   util::Rng rng(sgd.seed);
 
-  SgdRun run;
   run.weights = la::Vector(objective.Dimension());
   la::VectorView w = run.weights.View();
   la::Vector grad(w.size());
   std::deque<std::pair<uint64_t, uint64_t>> resident;  // (offset, length)
   uint64_t resident_bytes = 0;
   size_t step_index = 0;
-  const io::ExecCounters exec_before = io::GlobalExecCounters();
   util::Stopwatch watch;
   for (size_t epoch = 0; epoch < sgd.epochs; ++epoch) {
     const exec::ChunkSchedule schedule =
@@ -135,8 +129,8 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
         if (dataset.mapping()
                 .Evict(resident.front().first, resident.front().second)
                 .ok()) {
-          ++manual.evictions;
-          manual.bytes_evicted += resident.front().second;
+          ++run.stats.evictions;
+          run.stats.bytes_evicted += resident.front().second;
         }
         resident_bytes -= resident.front().second;
         resident.pop_front();
@@ -146,8 +140,6 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
   grad.SetZero();
   objective.EvaluateWithGradient(w, grad);  // final full-data pass
   run.seconds = watch.ElapsedSeconds();
-  io::AddExecCounters(manual);
-  run.exec = io::GlobalExecCounters() - exec_before;
   return run;
 }
 
@@ -169,13 +161,10 @@ SgdRun RunEngine(MappedDataset& dataset, la::ConstVectorView y,
 
   SgdRun run;
   run.weights = la::Vector(objective.Dimension());
-  const io::ExecCounters exec_before = io::GlobalExecCounters();
   util::Stopwatch watch;
   auto result = ml::Sgd(sgd_options).Minimize(&objective, run.weights.View());
   run.seconds = watch.ElapsedSeconds();
-  run.exec = io::GlobalExecCounters() - exec_before;
   run.stats = pipeline.stats();
-  run.has_stats = true;
   objective.set_pipeline(nullptr);
   if (!result.ok()) {
     std::fprintf(stderr, "SGD failed: %s\n",
@@ -263,23 +252,16 @@ int Run(int argc, char** argv) {
         {configs[i].name, util::StrFormat("%.3f", runs[i].seconds),
          util::StrFormat("%llu",
                          static_cast<unsigned long long>(
-                             runs[i].exec.prefetches)),
+                             runs[i].stats.prefetches)),
          util::StrFormat("%llu",
                          static_cast<unsigned long long>(
-                             runs[i].exec.prefetch_hits)),
+                             runs[i].stats.prefetch_hits)),
          util::StrFormat("%llu",
-                         static_cast<unsigned long long>(runs[i].exec.stalls)),
-         util::HumanBytes(runs[i].exec.bytes_evicted)});
-    // Engine configs report the pipeline's full stats so the JSON carries
-    // stall/compute duration percentiles next to the counters.
-    if (runs[i].has_stats) {
-      reporter.Add(configs[i].name, runs[i].seconds, runs[i].stats);
-    } else {
-      reporter.Add(configs[i].name, runs[i].seconds, runs[i].exec);
-    }
+                         static_cast<unsigned long long>(runs[i].stats.stalls)),
+         util::HumanBytes(runs[i].stats.bytes_evicted)});
+    reporter.Add(configs[i].name, runs[i].seconds, runs[i].stats);
   }
   table.Print(stdout, csv);
-  PrintExecCounters();
   if (util::Status json = reporter.Write(dir); !json.ok()) {
     std::fprintf(stderr, "bench JSON not written: %s\n",
                  json.ToString().c_str());

@@ -34,7 +34,7 @@ namespace {
 
 struct PassResult {
   double seconds = 0;
-  io::ExecCounters exec;
+  exec::PipelineStats stats;
   io::ResourceSample usage;
   bool trained = false;
 };
@@ -180,13 +180,12 @@ int Run(int argc, char** argv) {
     train_options.lbfgs = PaperLbfgsOptions();
     train_options.lbfgs.max_iterations = static_cast<size_t>(iterations);
     PassResult result;
-    const io::ExecCounters exec_before = io::GlobalExecCounters();
     const io::ResourceSample before = io::ResourceSample::Now();
     util::Stopwatch watch;
     auto model = TrainLogisticRegression(dataset, train_options);
     result.seconds = watch.ElapsedSeconds();
     result.usage = io::ResourceSample::Now() - before;
-    result.exec = io::GlobalExecCounters() - exec_before;
+    result.stats = DatasetStats(dataset);
     result.trained = model.ok();
     if (!model.ok()) {
       std::fprintf(stderr, "dense training failed: %s\n",
@@ -212,7 +211,6 @@ int Run(int argc, char** argv) {
     train_options.chunk_nnz_bytes = dataset.ChunkNnzBytes();
     train_options.pipeline = &dataset.pipeline();
     PassResult result;
-    const io::ExecCounters exec_before = io::GlobalExecCounters();
     const io::ResourceSample before = io::ResourceSample::Now();
     util::Stopwatch watch;
     auto model = ml::SparseLogisticRegression(train_options)
@@ -220,7 +218,7 @@ int Run(int argc, char** argv) {
                             la::ConstVectorView(labels.data(), labels.size()));
     result.seconds = watch.ElapsedSeconds();
     result.usage = io::ResourceSample::Now() - before;
-    result.exec = io::GlobalExecCounters() - exec_before;
+    result.stats = dataset.pipeline().stats();
     result.trained = model.ok();
     if (!model.ok()) {
       std::fprintf(stderr, "sparse training failed: %s\n",
@@ -240,20 +238,19 @@ int Run(int argc, char** argv) {
                   util::HumanBytes(scan_bytes),
                   util::HumanBytes(r.usage.io.read_bytes),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.prefetches)),
+                                              r.stats.prefetches)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
-                                              r.exec.stalls)),
-                  util::HumanBytes(r.exec.bytes_evicted)});
+                                              r.stats.stalls)),
+                  util::HumanBytes(r.stats.bytes_evicted)});
   };
   add_row("dense_equivalent", dense, dense_scan_bytes);
   add_row("csr", sparse, sparse_scan_bytes);
   table.Print(stdout, csv);
-  PrintExecCounters();
 
   JsonReporter reporter("sparse_overlap");
-  reporter.Add("dense_equivalent", dense.seconds, dense.exec,
+  reporter.Add("dense_equivalent", dense.seconds, dense.stats,
                {{"scan_bytes_per_pass", dense_scan_bytes}});
-  reporter.Add("csr", sparse.seconds, sparse.exec,
+  reporter.Add("csr", sparse.seconds, sparse.stats,
                {{"scan_bytes_per_pass", sparse_scan_bytes},
                 {"gradient_bitwise_identical", gate_passed ? 1u : 0u}});
   if (util::Status json = reporter.Write(dir); !json.ok()) {

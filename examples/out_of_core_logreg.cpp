@@ -1,9 +1,9 @@
 // Out-of-core logistic regression: the paper's headline scenario.
 //
 // Generates a dataset, maps it under an emulated RAM budget smaller than
-// the data, and trains while a ResourceMonitor watches utilization. On the
-// paper's hardware this is the regime where "disk I/O was 100% utilized
-// while CPU was only utilized at around 13%".
+// the data, and brackets training with process resource samples to report
+// CPU utilization. On the paper's hardware this is the regime where "disk
+// I/O was 100% utilized while CPU was only utilized at around 13%".
 //
 //   out_of_core_logreg --images=40000 --budget_mb=32
 
@@ -11,11 +11,12 @@
 
 #include "core/m3.h"
 #include "data/dataset.h"
+#include "io/io_stats.h"
 #include "io/platform.h"
 #include "ml/metrics.h"
 #include "util/flags.h"
 #include "util/format.h"
-#include "util/stopwatch.h"
+#include "util/sys_info.h"
 
 namespace {
 
@@ -65,26 +66,25 @@ int Run(int argc, char** argv) {
   // Cold cache, like the paper's runs.
   M3_IGNORE_STATUS(dataset.value().EvictAll(), "best-effort cold-start evict");
 
-  m3::ResourceMonitor monitor(0.1);
-  monitor.Start();
-  m3::util::Stopwatch watch;
-
   m3::ml::LogisticRegressionOptions train_options;
   train_options.lbfgs = m3::PaperLbfgsOptions();
   m3::ml::OptimizationResult stats;
+  const m3::io::ResourceSample before = m3::io::ResourceSample::Now();
   auto model =
       m3::TrainLogisticRegression(dataset.value(), train_options, &stats);
-  const double seconds = watch.ElapsedSeconds();
-  m3::MonitorReport report = monitor.Stop();
+  const m3::io::ResourceSample usage = m3::io::ResourceSample::Now() - before;
 
   if (!model.ok()) {
     std::fprintf(stderr, "train: %s\n", model.status().ToString().c_str());
     return 1;
   }
   std::printf("\n10-iteration L-BFGS run: %s (%zu full data passes)\n",
-              m3::util::HumanDuration(seconds).c_str(),
+              m3::util::HumanDuration(usage.wall_seconds).c_str(),
               stats.function_evaluations);
-  std::printf("Resource profile: %s\n", report.ToString().c_str());
+  const size_t cpus = m3::util::NumCpus();
+  std::printf("Resource profile: CPU utilization %.0f%% of %zu cores (%s)\n",
+              usage.CpuUtilization(cpus) * 100, cpus,
+              usage.ToString().c_str());
   if (auto* budget = dataset.value().ram_budget(); budget != nullptr) {
     std::printf("RAM-budget emulator: %llu evictions, %s re-read candidates "
                 "across %llu passes\n",

@@ -40,8 +40,9 @@
 ///       [&](size_t, double&& partial) { loss += partial; });
 ///
 /// Partials always merge in chunk order, so results are bitwise identical
-/// at any worker count. Engine counters (prefetch/evict/stall) land in
-/// io::GlobalExecCounters().
+/// at any worker count. Engine counters (prefetch/evict/stall) and stage
+/// seconds accumulate in the pipeline's exec::PipelineStats
+/// (`ds.pipeline().stats()`).
 
 #include <string>
 
@@ -50,7 +51,6 @@
 #include "core/options.h"
 #include "core/perf_model.h"
 #include "core/ram_budget.h"
-#include "core/resource_monitor.h"
 #include "io/mmap_file.h"
 #include "ml/kmeans.h"
 #include "ml/logistic_regression.h"

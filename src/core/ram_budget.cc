@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "io/io_stats.h"
 #include "obs/trace_recorder.h"
 #include "util/logging.h"
 
@@ -67,10 +66,6 @@ void RamBudgetEmulator::OnChunk(size_t row_begin, size_t row_end) {
   if (status.ok()) {
     ++evictions_;
     bytes_evicted_ += length;
-    io::ExecCounters delta;
-    delta.evictions = 1;
-    delta.bytes_evicted = length;
-    io::AddExecCounters(delta);
   }
   evict_cursor_ = evict_end;
 }

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/io_stats.h"
 #include "obs/trace_recorder.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -408,13 +407,6 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
     pass_span.AddArg("chunks", static_cast<uint64_t>(chunker.NumChunks()));
     pass_span.AddArg("workers", static_cast<uint64_t>(options_.num_workers));
   }
-  PipelineStats before;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    before = stats_;
-  }
-  // Started after the stats snapshot so drive time measures only the pass,
-  // not the snapshot's mutex wait.
   util::Stopwatch watch;
   prefetch_goal_ = 0;
   prefetched_through_.store(0, std::memory_order_release);
@@ -471,21 +463,15 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   if (io_pool_ != nullptr) {
     io_pool_->Wait();  // settle outstanding prefetches/evictions
   }
-  // Report this pass's increments to the process-wide counters.
-  io::ExecCounters delta;
-  PipelineStats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passes;
     stats_.chunks += chunker.NumChunks();
     stats_.drive_seconds += watch.ElapsedSeconds();
-    delta = stats_.counters() - before.counters();
-    snapshot = stats_;
   }
-  io::AddExecCounters(delta);
   if (obs::TracingEnabled()) {
     // Same serialization the bench JSON emits, so a trace is self-describing.
-    obs::TraceRecorder::Get().SetMetadata("pipeline_stats", snapshot.ToJson());
+    obs::TraceRecorder::Get().SetMetadata("pipeline_stats", stats().ToJson());
   }
 }
 

@@ -34,70 +34,12 @@ PipelineStats PipelineStats::operator+(const PipelineStats& rhs) const {
   return out;
 }
 
-io::ExecCounters PipelineStats::counters() const {
-  io::ExecCounters out;
-  out.passes = passes;
-  out.chunks = chunks;
-  out.prefetches = prefetches;
-  out.prefetch_bytes = prefetch_bytes;
-  out.evictions = evictions;
-  out.bytes_evicted = bytes_evicted;
-  out.prefetch_hits = prefetch_hits;
-  out.stalls = stalls;
-  out.stall_bytes = stall_bytes;
-  out.prefetch_unclassified = prefetch_unclassified;
-  out.backend_submits = backend_submits;
-  out.backend_completions = backend_completions;
-  out.backend_fallbacks = backend_fallbacks;
-  return out;
-}
-
-PipelineStats PipelineStats::FromCounters(const io::ExecCounters& counters) {
-  PipelineStats out;
-  out.passes = counters.passes;
-  out.chunks = counters.chunks;
-  out.prefetches = counters.prefetches;
-  out.prefetch_bytes = counters.prefetch_bytes;
-  out.evictions = counters.evictions;
-  out.bytes_evicted = counters.bytes_evicted;
-  out.prefetch_hits = counters.prefetch_hits;
-  out.stalls = counters.stalls;
-  out.stall_bytes = counters.stall_bytes;
-  out.prefetch_unclassified = counters.prefetch_unclassified;
-  out.backend_submits = counters.backend_submits;
-  out.backend_completions = counters.backend_completions;
-  out.backend_fallbacks = counters.backend_fallbacks;
-  return out;
-}
-
 double PipelineStats::PrefetchHitRate() const {
   const uint64_t raced = prefetch_hits + stalls;
   if (raced == 0) {
     return 0.0;
   }
   return static_cast<double>(prefetch_hits) / static_cast<double>(raced);
-}
-
-std::string PipelineStats::ToString() const {
-  return util::StrFormat(
-      "passes=%llu chunks=%llu prefetch=%llu (%s, hit %.0f%%) stalls=%llu "
-      "(%s) warmup=%llu evict=%llu (%s) backend s/c/f=%llu/%llu/%llu "
-      "stage s: drive=%.3f compute=%.3f "
-      "retire=%.3f prefetch=%.3f evict=%.3f",
-      static_cast<unsigned long long>(passes),
-      static_cast<unsigned long long>(chunks),
-      static_cast<unsigned long long>(prefetches),
-      util::HumanBytes(prefetch_bytes).c_str(), PrefetchHitRate() * 100.0,
-      static_cast<unsigned long long>(stalls),
-      util::HumanBytes(stall_bytes).c_str(),
-      static_cast<unsigned long long>(prefetch_unclassified),
-      static_cast<unsigned long long>(evictions),
-      util::HumanBytes(bytes_evicted).c_str(),
-      static_cast<unsigned long long>(backend_submits),
-      static_cast<unsigned long long>(backend_completions),
-      static_cast<unsigned long long>(backend_fallbacks),
-      drive_seconds, compute_seconds,
-      retire_seconds, prefetch_seconds, evict_seconds);
 }
 
 std::string PipelineStats::ToJson() const {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "io/io_stats.h"
 #include "util/histogram.h"
 #include "util/json.h"
 #include "util/result.h"
@@ -92,21 +91,9 @@ struct PipelineStats {
   PipelineStats& operator+=(const PipelineStats& rhs);
   PipelineStats operator+(const PipelineStats& rhs) const;
 
-  /// The counter subset as the process-wide io::ExecCounters shape — the
-  /// single conversion point between the two structs, so the engine can
-  /// report per-pass deltas without field-by-field copies.
-  io::ExecCounters counters() const;
-
-  /// The inverse lift: a PipelineStats carrying only the counter subset
-  /// (seconds and histograms zero). Lets ExecCounters-only callers reuse
-  /// the one JSON serialization below.
-  static PipelineStats FromCounters(const io::ExecCounters& counters);
-
   /// Fraction of prefetch-enabled chunks whose prefetch won the race,
   /// in [0, 1]; 1.0 when the prefetch stage fully hides the disk.
   double PrefetchHitRate() const;
-
-  std::string ToString() const;
 
   /// One JSON object carrying the counters, the per-stage seconds, and
   /// the duration percentiles — THE serialization of pipeline stats:

@@ -4,7 +4,6 @@
 #include <sys/time.h>
 
 #include <chrono>
-#include <mutex>
 
 #include "io/file.h"
 #include "util/format.h"
@@ -63,80 +62,6 @@ Result<IoCounters> ReadIoCounters() {
     }
   }
   return counters;
-}
-
-ExecCounters ExecCounters::operator-(const ExecCounters& rhs) const {
-  ExecCounters out;
-  out.passes = passes - rhs.passes;
-  out.chunks = chunks - rhs.chunks;
-  out.prefetches = prefetches - rhs.prefetches;
-  out.prefetch_bytes = prefetch_bytes - rhs.prefetch_bytes;
-  out.evictions = evictions - rhs.evictions;
-  out.bytes_evicted = bytes_evicted - rhs.bytes_evicted;
-  out.prefetch_hits = prefetch_hits - rhs.prefetch_hits;
-  out.stalls = stalls - rhs.stalls;
-  out.stall_bytes = stall_bytes - rhs.stall_bytes;
-  out.prefetch_unclassified = prefetch_unclassified - rhs.prefetch_unclassified;
-  out.backend_submits = backend_submits - rhs.backend_submits;
-  out.backend_completions = backend_completions - rhs.backend_completions;
-  out.backend_fallbacks = backend_fallbacks - rhs.backend_fallbacks;
-  return out;
-}
-
-std::string ExecCounters::ToString() const {
-  return util::StrFormat(
-      "passes=%llu chunks=%llu prefetches=%llu (%s) evictions=%llu (%s) "
-      "hits=%llu stalls=%llu (%s) warmup=%llu backend s/c/f=%llu/%llu/%llu",
-      static_cast<unsigned long long>(passes),
-      static_cast<unsigned long long>(chunks),
-      static_cast<unsigned long long>(prefetches),
-      util::HumanBytes(prefetch_bytes).c_str(),
-      static_cast<unsigned long long>(evictions),
-      util::HumanBytes(bytes_evicted).c_str(),
-      static_cast<unsigned long long>(prefetch_hits),
-      static_cast<unsigned long long>(stalls),
-      util::HumanBytes(stall_bytes).c_str(),
-      static_cast<unsigned long long>(prefetch_unclassified),
-      static_cast<unsigned long long>(backend_submits),
-      static_cast<unsigned long long>(backend_completions),
-      static_cast<unsigned long long>(backend_fallbacks));
-}
-
-namespace {
-
-std::mutex& ExecCountersMutex() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-
-ExecCounters& ExecCountersStorage() {
-  static ExecCounters* counters = new ExecCounters;
-  return *counters;
-}
-
-}  // namespace
-
-void AddExecCounters(const ExecCounters& delta) {
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCounters& total = ExecCountersStorage();
-  total.passes += delta.passes;
-  total.chunks += delta.chunks;
-  total.prefetches += delta.prefetches;
-  total.prefetch_bytes += delta.prefetch_bytes;
-  total.evictions += delta.evictions;
-  total.bytes_evicted += delta.bytes_evicted;
-  total.prefetch_hits += delta.prefetch_hits;
-  total.stalls += delta.stalls;
-  total.stall_bytes += delta.stall_bytes;
-  total.prefetch_unclassified += delta.prefetch_unclassified;
-  total.backend_submits += delta.backend_submits;
-  total.backend_completions += delta.backend_completions;
-  total.backend_fallbacks += delta.backend_fallbacks;
-}
-
-ExecCounters GlobalExecCounters() {
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  return ExecCountersStorage();
 }
 
 FaultCounters FaultCounters::operator-(const FaultCounters& rhs) const {

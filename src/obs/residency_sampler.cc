@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "io/io_stats.h"
 #include "io/mmap_file.h"
 #include "obs/trace_recorder.h"
 
@@ -112,16 +111,6 @@ void ResidencySampler::SampleOnce() {
   EmitCounter("residency", "resident_bytes",
               static_cast<double>(resident_bytes));
   EmitCounter("rss", "rss_bytes", static_cast<double>(ReadRssBytes()));
-  // Cumulative engine counters: monotone tracks, so a stall burst shows as
-  // a slope change exactly under the span that paid for it.
-  const io::ExecCounters exec = io::GlobalExecCounters();
-  EmitCounter("exec.prefetch_bytes", "bytes",
-              static_cast<double>(exec.prefetch_bytes));
-  EmitCounter("exec.bytes_evicted", "bytes",
-              static_cast<double>(exec.bytes_evicted));
-  EmitCounter("exec.stalls", "count", static_cast<double>(exec.stalls));
-  EmitCounter("exec.prefetch_hits", "count",
-              static_cast<double>(exec.prefetch_hits));
 }
 
 void ResidencySampler::Loop() {

@@ -20,10 +20,12 @@ namespace m3::obs {
 ///   - "residency" / resident_bytes — mincore(2)-resident bytes summed
 ///     over the registered mappings (the time-resolved view of the
 ///     trailing eviction window doing its job);
-///   - "rss" / rss_bytes — process resident set from /proc/self/statm;
-///   - "exec.*" tracks — cumulative io::ExecCounters fields (prefetch
-///     bytes, evicted bytes, stalls, hits), each monotone non-decreasing
-///     so stall bursts line up against the span lanes.
+///   - "rss" / rss_bytes — process resident set from /proc/self/statm.
+///
+/// Engine I/O needs no track of its own: the "prefetch"/"evict" spans
+/// carry their `bytes`, and the span of the stage that judges a chunk's
+/// prefetch race ("compute", or "retire" for retire-stage scans) carries
+/// its `race`, so the span lanes already show where stalls land.
 ///
 /// Mappings register/unregister via ScopedMappingRegistration (a mapping
 /// must outlive its registration — MappedDataset owns one for exactly its

@@ -58,9 +58,6 @@ Status ValidateTrace(const JsonValue& doc) {
     double end = 0;
   };
   std::map<uint64_t, std::vector<SpanEdge>> spans_by_tid;
-  // Counter track -> samples in arrival order (arrival order is emission
-  // order within the sampler thread, which is what monotonicity means).
-  std::map<std::string, std::vector<double>> exec_tracks;
   for (size_t i = 0; i < events->array.size(); ++i) {
     const JsonValue& event = events->array[i];
     if (!event.is_object()) {
@@ -92,10 +89,6 @@ Status ValidateTrace(const JsonValue& doc) {
         return Status::InvalidArgument(util::StrFormat(
             "traceEvents[%zu]: counter without name/args", i));
       }
-      if (name->string_value.rfind("exec.", 0) == 0) {
-        exec_tracks[name->string_value].push_back(
-            args->members.front().second.number_value);
-      }
     }
   }
   // Spans on one thread must obey stack discipline: sorted by start (ties:
@@ -124,18 +117,6 @@ Status ValidateTrace(const JsonValue& doc) {
             open_ends.back()));
       }
       open_ends.push_back(edge.end);
-    }
-  }
-  // exec.* tracks mirror cumulative io::ExecCounters, which only ever
-  // grow, so going backwards means the recorder scrambled sample order.
-  for (const auto& [track, samples] : exec_tracks) {
-    for (size_t i = 1; i < samples.size(); ++i) {
-      if (samples[i] < samples[i - 1]) {
-        return Status::InvalidArgument(util::StrFormat(
-            "counter track \"%s\" is not monotone: sample %zu (%.0f) < "
-            "sample %zu (%.0f)",
-            track.c_str(), i, samples[i], i - 1, samples[i - 1]));
-      }
     }
   }
   return Status::OK();

@@ -11,8 +11,8 @@
 ///    longest stalls; CI runs it as a smoke gate over the nightly bench
 ///    trace.
 ///  - tests — `ValidateTrace` is the machine-checkable definition of "a
-///    well-formed m3 trace": parses, spans nest per thread, and the
-///    cumulative `exec.*` counter tracks never decrease.
+///    well-formed m3 trace": parses, spans nest per thread, and counter
+///    events carry a name and args.
 ///
 /// The overlap-efficiency calculation deliberately mirrors
 /// m3::CombineOverlap (core/perf_model.h, max + (1-eff)*min): with cpu = compute+retire
@@ -88,8 +88,7 @@ struct TraceSummary {
 ///  - "ph":"X" spans carry finite ts/dur and, per tid, nest properly
 ///    (a span starting inside an earlier span ends within it — stack
 ///    discipline with a small epsilon for %.3f rounding);
-///  - counter tracks named "exec.*" are cumulative and therefore must be
-///    monotone non-decreasing in timestamp order.
+///  - "ph":"C" counters carry a string name and a non-empty args object.
 util::Status ValidateTrace(const util::JsonValue& doc);
 
 /// \brief Aggregate a parsed trace into a TraceSummary.

@@ -12,7 +12,6 @@
 
 #include "exec/chunk_map_reduce.h"
 #include "io/file.h"
-#include "io/io_stats.h"
 #include "la/chunker.h"
 #include "la/matrix.h"
 #include "ml/kmeans.h"
@@ -345,19 +344,18 @@ TEST_F(BoundPipelineTest, EvictionTrailsTheBudgetWindowExactly) {
   EXPECT_EQ(pipeline.stats().bytes_evicted, (kRows - 20) * kRowBytes);
 }
 
-TEST_F(BoundPipelineTest, PassesReportedToGlobalExecCounters) {
+TEST_F(BoundPipelineTest, PassesAccumulateInPipelineStats) {
   const size_t kRows = 512, kRowDoubles = 32;
   io::MemoryMappedFile mapped = MakeMapped(kRows, kRowDoubles);
   MappedRegion region{&mapped, 0, kRowDoubles * sizeof(double)};
   ChunkPipeline pipeline(region, PipelineOptions());
   la::RowChunker chunker(kRows, 64);
-  const io::ExecCounters before = io::GlobalExecCounters();
   pipeline.Run(chunker, [](size_t, size_t, size_t) {});
   pipeline.Run(chunker, [](size_t, size_t, size_t) {});
-  const io::ExecCounters counters = io::GlobalExecCounters() - before;
-  EXPECT_EQ(counters.passes, 2u);
-  EXPECT_EQ(counters.chunks, 2 * chunker.NumChunks());
-  EXPECT_EQ(counters.prefetches, 2 * chunker.NumChunks());
+  const PipelineStats stats = pipeline.stats();
+  EXPECT_EQ(stats.passes, 2u);
+  EXPECT_EQ(stats.chunks, 2 * chunker.NumChunks());
+  EXPECT_EQ(stats.prefetches, 2 * chunker.NumChunks());
 }
 
 }  // namespace

@@ -97,35 +97,6 @@ TEST(IoStatsTest, UtilizationZeroCases) {
   EXPECT_DOUBLE_EQ(some.CpuUtilization(0), 0.0);
 }
 
-// Concurrent pipeline passes each publish through AddExecCounters, and
-// every pass lands exactly once in the global totals no matter how the
-// calls interleave. Sanitizer-friendly sizes: 8 threads x 16 passes is
-// enough for TSan to see the interleavings.
-TEST(IoStatsTest, ConcurrentExecCounterPassesAllLandExactlyOnce) {
-  const ExecCounters baseline = GlobalExecCounters();
-  constexpr int kThreads = 8;
-  constexpr int kPassesPerThread = 16;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int p = 0; p < kPassesPerThread; ++p) {
-        ExecCounters delta;
-        delta.passes = 1;
-        delta.chunks = 3;
-        delta.prefetch_bytes = 4096;
-        AddExecCounters(delta);
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  const ExecCounters delta = GlobalExecCounters() - baseline;
-  EXPECT_EQ(delta.passes, uint64_t{kThreads * kPassesPerThread});
-  EXPECT_EQ(delta.chunks, uint64_t{3 * kThreads * kPassesPerThread});
-  EXPECT_EQ(delta.prefetch_bytes, uint64_t{4096 * kThreads * kPassesPerThread});
-}
-
 TEST(IoStatsTest, ToStringsContainKeyFields) {
   IoCounters io;
   io.read_bytes = 1024;

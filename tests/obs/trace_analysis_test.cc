@@ -40,10 +40,10 @@ constexpr char kPipelineTrace[] = R"({
      "ts": 0.0, "dur": 6000.0, "args": {"position": 0, "bytes": 65536}},
     {"ph": "C", "name": "residency", "pid": 1, "tid": 3, "ts": 1.0,
      "args": {"resident_bytes": 1000.0}},
-    {"ph": "C", "name": "exec.stalls", "pid": 1, "tid": 3, "ts": 1.0,
-     "args": {"count": 0.0}},
-    {"ph": "C", "name": "exec.stalls", "pid": 1, "tid": 3, "ts": 5000.0,
-     "args": {"count": 1.0}}
+    {"ph": "C", "name": "rss", "pid": 1, "tid": 3, "ts": 1.0,
+     "args": {"rss_bytes": 4096.0}},
+    {"ph": "C", "name": "rss", "pid": 1, "tid": 3, "ts": 5000.0,
+     "args": {"rss_bytes": 8192.0}}
   ]
 })";
 
@@ -76,20 +76,9 @@ TEST(ValidateTraceTest, AcceptsSameSpansOnDifferentThreads) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-TEST(ValidateTraceTest, RejectsNonMonotoneExecCounters) {
-  const util::Status status = ValidateTrace(Parse(R"({"traceEvents": [
-    {"ph": "C", "name": "exec.prefetch_bytes", "tid": 1, "ts": 0.0,
-     "args": {"bytes": 100.0}},
-    {"ph": "C", "name": "exec.prefetch_bytes", "tid": 1, "ts": 1.0,
-     "args": {"bytes": 50.0}}
-  ]})"));
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("monotone"), std::string::npos);
-}
-
 TEST(ValidateTraceTest, GaugeCountersMayDecrease) {
-  // "residency"/"rss" are gauges, not cumulative: only exec.* tracks
-  // carry the monotonicity contract.
+  // "residency"/"rss" are gauges, not cumulative: a counter track may go
+  // down between samples.
   const util::Status status = ValidateTrace(Parse(R"({"traceEvents": [
     {"ph": "C", "name": "residency", "tid": 1, "ts": 0.0,
      "args": {"resident_bytes": 100.0}},
@@ -122,8 +111,8 @@ TEST(AnalyzeTraceTest, StageUtilizationAndCounts) {
   EXPECT_NEAR(s.stages.front().utilization, 1.0, 1e-6);
   // Distinct counter tracks, sorted.
   ASSERT_EQ(s.counter_tracks.size(), 2u);
-  EXPECT_EQ(s.counter_tracks[0], "exec.stalls");
-  EXPECT_EQ(s.counter_tracks[1], "residency");
+  EXPECT_EQ(s.counter_tracks[0], "residency");
+  EXPECT_EQ(s.counter_tracks[1], "rss");
 }
 
 TEST(AnalyzeTraceTest, OverlapEfficiencyMatchesCombineOverlapInverse) {
@@ -196,7 +185,7 @@ TEST(AnalyzeTraceTest, RecorderOutputValidatesEndToEnd) {
     { ScopedSpan retire("exec", "retire"); }
     { ScopedSpan evict("exec", "evict"); }
   }
-  EmitCounter("exec.stalls", "count", 1.0);
+  EmitCounter("rss", "rss_bytes", 4096.0);
   TraceRecorder::Get().Stop();
   auto json = TraceRecorder::Get().ToJson();
   ASSERT_TRUE(json.ok());

@@ -69,18 +69,18 @@ class JsonReporterTest : public ::testing::Test {
 
 TEST_F(JsonReporterTest, WritesParseableJsonWithHostileNames) {
   bench::JsonReporter reporter("unit_test");
-  io::ExecCounters exec;
-  exec.passes = 2;
-  exec.prefetches = 7;
-  exec.prefetch_hits = 4;
-  exec.stalls = 1;
-  exec.stall_bytes = 4096;
-  exec.prefetch_unclassified = 2;
-  exec.backend_submits = 11;
-  exec.backend_completions = 10;
-  exec.backend_fallbacks = 5;
-  reporter.Add("plain", 0.25, exec);
-  reporter.Add("quote\"newline\n", 1.0, exec,
+  exec::PipelineStats stats;
+  stats.passes = 2;
+  stats.prefetches = 7;
+  stats.prefetch_hits = 4;
+  stats.stalls = 1;
+  stats.stall_bytes = 4096;
+  stats.prefetch_unclassified = 2;
+  stats.backend_submits = 11;
+  stats.backend_completions = 10;
+  stats.backend_fallbacks = 5;
+  reporter.Add("plain", 0.25, stats);
+  reporter.Add("quote\"newline\n", 1.0, stats,
                {{"spill_refaults", 3}, {"weird\"key", 9}},
                {{"residual_seconds", -0.125}});
   ASSERT_TRUE(reporter.Write(dir_).ok());
@@ -119,9 +119,9 @@ TEST_F(JsonReporterTest, WritesParseableJsonWithHostileNames) {
 
 TEST_F(JsonReporterTest, RefusesNonFiniteSeconds) {
   bench::JsonReporter reporter("bad_bench");
-  io::ExecCounters exec;
-  reporter.Add("fine", 1.0, exec);
-  reporter.Add("poison", std::numeric_limits<double>::quiet_NaN(), exec);
+  const exec::PipelineStats stats;
+  reporter.Add("fine", 1.0, stats);
+  reporter.Add("poison", std::numeric_limits<double>::quiet_NaN(), stats);
   const util::Status status = reporter.Write(dir_);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("poison"), std::string::npos);
@@ -131,8 +131,7 @@ TEST_F(JsonReporterTest, RefusesNonFiniteSeconds) {
 
 TEST_F(JsonReporterTest, RefusesNonFiniteExtraDouble) {
   bench::JsonReporter reporter("bad_fit");
-  io::ExecCounters exec;
-  reporter.Add("fit", 1.0, exec, {},
+  reporter.Add("fit", 1.0, exec::PipelineStats(), {},
                {{"relative_residual",
                  std::numeric_limits<double>::infinity()}});
   const util::Status status = reporter.Write(dir_);
@@ -142,18 +141,18 @@ TEST_F(JsonReporterTest, RefusesNonFiniteExtraDouble) {
 }
 
 TEST_F(JsonReporterTest, OutputParsesAndBothOverloadsShareOnePath) {
-  // Both Add overloads render "exec" through PipelineStats::ToJson(); the
-  // document they produce must survive the strict parser, and the
-  // stats overload must land the stall/compute percentiles in the JSON.
+  // Every case renders "exec" through PipelineStats::ToJson(); the
+  // document must survive the strict parser, and stats that hold
+  // durations must land the stall/compute percentiles in the JSON.
   bench::JsonReporter reporter("stats_path");
-  io::ExecCounters exec;
-  exec.passes = 1;
-  exec.prefetches = 4;
-  exec.prefetch_hits = 3;
-  exec.stalls = 1;
-  reporter.Add("counters_only", 0.5, exec);
+  exec::PipelineStats counters_only;
+  counters_only.passes = 1;
+  counters_only.prefetches = 4;
+  counters_only.prefetch_hits = 3;
+  counters_only.stalls = 1;
+  reporter.Add("counters_only", 0.5, counters_only);
 
-  exec::PipelineStats stats = exec::PipelineStats::FromCounters(exec);
+  exec::PipelineStats stats = counters_only;
   stats.drive_seconds = 0.5;
   stats.compute_duration.Add(0.002);
   stats.compute_duration.Add(0.004);
@@ -170,13 +169,13 @@ TEST_F(JsonReporterTest, OutputParsesAndBothOverloadsShareOnePath) {
   ASSERT_TRUE(cases->is_array());
   ASSERT_EQ(cases->array.size(), 2u);
 
-  // The counters-only case lifts into a stats value: same keys, zeroed
+  // The counters-only case carries the same keys, with zeroed
   // durations.
-  const JsonValue* lifted = cases->array[0].Find("exec");
-  ASSERT_NE(lifted, nullptr);
-  EXPECT_EQ(lifted->NumberOr("prefetch_hits", -1), 3.0);
-  EXPECT_EQ(lifted->NumberOr("stall_p99", -1), 0.0);
-  EXPECT_EQ(lifted->NumberOr("drive_seconds", -1), 0.0);
+  const JsonValue* counters = cases->array[0].Find("exec");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->NumberOr("prefetch_hits", -1), 3.0);
+  EXPECT_EQ(counters->NumberOr("stall_p99", -1), 0.0);
+  EXPECT_EQ(counters->NumberOr("drive_seconds", -1), 0.0);
 
   const JsonValue* full = cases->array[1].Find("exec");
   ASSERT_NE(full, nullptr);

@@ -8,21 +8,16 @@ PipelineStats& PipelineStats::operator+=(const PipelineStats& rhs) {
   return *this;
 }
 
-io::ExecCounters PipelineStats::counters() const {
-  io::ExecCounters out;
-  out.passes = passes;
-  return out;
-}
-
-PipelineStats PipelineStats::FromCounters(const io::ExecCounters& counters) {
-  PipelineStats out;
-  out.passes = counters.passes;
-  return out;
-}
-
 std::string PipelineStats::ToJson() const {
   return util::StrFormat("{\"passes\": %llu}",
                          static_cast<unsigned long long>(passes));
+}
+
+util::Result<PipelineStats> PipelineStats::FromJson(
+    const util::JsonValue& value) {
+  PipelineStats out;
+  out.passes = static_cast<uint64_t>(value.NumberOr("passes", 0));
+  return out;
 }
 
 }  // namespace m3::exec

@@ -14,9 +14,8 @@ struct PipelineStats {
   uint64_t lost_chunks = 0;  // seeded drift: in the struct, nowhere else
 
   PipelineStats& operator+=(const PipelineStats& rhs);
-  io::ExecCounters counters() const;
-  static PipelineStats FromCounters(const io::ExecCounters& counters);
   std::string ToJson() const;
+  static util::Result<PipelineStats> FromJson(const util::JsonValue& value);
 };
 
 }  // namespace m3::exec

@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """m3_lint: project-invariant checks the C++ compiler cannot express.
 
-The counter/trace plumbing spans four files that must stay in lockstep
-(exec::PipelineStats, its serialization, io::ExecCounters, and the
-pipeline's span instrumentation). Each rule below guards one invariant
-that has historically drifted silently — a counter added to the struct
-but not to ToJson() simply vanishes from every bench report and trace.
+The counter/trace plumbing spans files that must stay in lockstep
+(exec::PipelineStats, its serialization, and the pipeline's span
+instrumentation). Each rule below guards one invariant that has
+historically drifted silently — a counter added to the struct but not to
+ToJson() simply vanishes from every bench report and trace.
 
 Rules (see docs/CORRECTNESS.md for the policy and how to extend):
-  counter-twin        every uint64_t counter in exec::PipelineStats has a
-                      same-named twin in io::ExecCounters, and vice versa.
   counter-serialized  every PipelineStats field is accumulated in
-                      operator+=, emitted as a ToJson() key, and (counters
-                      only) converted in counters()/FromCounters(); every
-                      ExecCounters field is handled in operator- and
-                      AddExecCounters.
+                      operator+=, emitted as a ToJson() key, and parsed
+                      back in FromJson().
   span-coverage       every ChunkPipeline stage (pass, prefetch, compute,
                       retire, evict) carries an "exec" span (ScopedSpan or
                       OBS_SPAN).
@@ -127,89 +123,47 @@ class Linter:
     def check_counter_plumbing(self):
         stats_h = self.read("src/exec/pipeline_stats.h")
         stats_cc = self.read("src/exec/pipeline_stats.cc")
-        io_h = self.read("src/io/io_stats.h")
-        io_cc = self.read("src/io/io_stats.cc")
-        if stats_h is None or io_h is None:
-            self.skip("counter-twin", "src/exec/pipeline_stats.h or "
-                      "src/io/io_stats.h")
+        if stats_h is None or stats_cc is None:
+            self.skip("counter-serialized", "src/exec/pipeline_stats.h or "
+                      "src/exec/pipeline_stats.cc")
             return
-        pipeline = self.struct_fields(stats_h, "PipelineStats")
-        execc = self.struct_fields(io_h, "ExecCounters")
-        if pipeline is None or execc is None:
-            self.skip("counter-twin", "struct PipelineStats / ExecCounters")
+        fields = self.struct_fields(stats_h, "PipelineStats")
+        if fields is None:
+            self.skip("counter-serialized", "struct PipelineStats")
             return
-        counters = {f: loc for f, (ty, loc) in pipeline.items()
-                    if ty == "uint64_t"}
-        seconds = {f: loc for f, (ty, loc) in pipeline.items()
-                   if ty == "double"}
-
-        # Rule: counter-twin — the two counter sets must be identical.
-        for field, line in sorted(counters.items()):
-            if field not in execc:
-                self.finding(
-                    "src/exec/pipeline_stats.h", line, "counter-twin",
-                    f"PipelineStats counter '{field}' has no io::ExecCounters "
-                    "twin — add the field to src/io/io_stats.h and plumb it "
-                    "through operator-, AddExecCounters, and "
-                    "PipelineStats::counters()/FromCounters()")
-        for field, (ty, line) in sorted(execc.items()):
-            if ty == "uint64_t" and field not in counters:
-                self.finding(
-                    "src/io/io_stats.h", line, "counter-twin",
-                    f"io::ExecCounters field '{field}' has no PipelineStats "
-                    "twin — add it to src/exec/pipeline_stats.h")
 
         # Rule: counter-serialized — every field lands in every sink.
-        if stats_cc is not None:
-            sinks = {
-                "operator+=": self.function_body(
-                    stats_cc, r"PipelineStats&\s*PipelineStats::operator\+="),
-                "counters()": self.function_body(
-                    stats_cc, r"ExecCounters\s+PipelineStats::counters"),
-                "FromCounters()": self.function_body(
-                    stats_cc, r"PipelineStats\s+PipelineStats::FromCounters"),
-                "ToJson()": self.function_body(
-                    stats_cc, r"std::string\s+PipelineStats::ToJson"),
-            }
-            for field, line in sorted(counters.items()):
-                for sink in ("operator+=", "counters()", "FromCounters()"):
-                    body = sinks[sink]
-                    if body is not None and \
-                            re.search(r"\b%s\b" % field, body) is None:
-                        self.finding(
-                            "src/exec/pipeline_stats.cc", 1,
-                            "counter-serialized",
-                            f"counter '{field}' missing from "
-                            f"PipelineStats::{sink} — it will silently "
-                            "read as zero downstream")
-            for field, line in sorted({**counters, **seconds}.items()):
-                body = sinks["ToJson()"]
-                if body is not None and f'\\"{field}\\"' not in body:
+        sinks = {
+            "operator+=": self.function_body(
+                stats_cc, r"PipelineStats&\s*PipelineStats::operator\+="),
+            "ToJson()": self.function_body(
+                stats_cc, r"std::string\s+PipelineStats::ToJson"),
+            "FromJson()": self.function_body(
+                stats_cc, r"PipelineStats::FromJson\s*\("),
+        }
+        for sink, body in sinks.items():
+            if body is None:
+                self.skip("counter-serialized",
+                          f"PipelineStats::{sink} body")
+        for field, (ty, _) in sorted(fields.items()):
+            kind = "counter" if ty == "uint64_t" else "field"
+            for sink in ("operator+=", "FromJson()"):
+                body = sinks[sink]
+                if body is not None and \
+                        re.search(r"\b%s\b" % field, body) is None:
                     self.finding(
-                        "src/exec/pipeline_stats.cc", 1, "counter-serialized",
-                        f"field '{field}' has no \"{field}\" key in "
-                        "PipelineStats::ToJson() — bench JSON and trace "
-                        "metadata will omit it")
-        else:
-            self.skip("counter-serialized", "src/exec/pipeline_stats.cc")
-
-        if io_cc is not None:
-            for fn, sig in (("operator-",
-                             r"ExecCounters\s+ExecCounters::operator-"),
-                            ("AddExecCounters",
-                             r"void\s+AddExecCounters")):
-                body = self.function_body(io_cc, sig)
-                if body is None:
-                    continue
-                for field, (ty, line) in sorted(execc.items()):
-                    if ty == "uint64_t" and \
-                            re.search(r"\b%s\b" % field, body) is None:
-                        self.finding(
-                            "src/io/io_stats.cc", 1, "counter-serialized",
-                            f"ExecCounters field '{field}' missing from "
-                            f"{fn} — deltas/accumulation will drop it")
-        else:
-            self.skip("counter-serialized", "src/io/io_stats.cc")
+                        "src/exec/pipeline_stats.cc", 1,
+                        "counter-serialized",
+                        f"{kind} '{field}' missing from "
+                        f"PipelineStats::{sink} — it will silently "
+                        "read as zero downstream")
+            body = sinks["ToJson()"]
+            if body is not None and f'\\"{field}\\"' not in body:
+                self.finding(
+                    "src/exec/pipeline_stats.cc", 1, "counter-serialized",
+                    f"field '{field}' has no \"{field}\" key in "
+                    "PipelineStats::ToJson() — bench JSON and trace "
+                    "metadata will omit it")
 
     def check_span_coverage(self):
         rel = "src/exec/chunk_pipeline.cc"
@@ -338,8 +292,8 @@ def main():
                         help="print rule names and exit")
     args = parser.parse_args()
     if args.list_rules:
-        print("counter-twin counter-serialized span-coverage "
-              "hot-loop-blocking bench-trace")
+        print("counter-serialized span-coverage hot-loop-blocking "
+              "bench-trace")
         return 0
     if not os.path.isdir(args.root):
         print(f"m3_lint: no such directory: {args.root}", file=sys.stderr)
