@@ -1,6 +1,6 @@
 // Ablation: sensitivity of the chunked training scan to chunk size, and of
 // the parallel kernels to worker count. DESIGN.md calls out chunk size as
-// the knob coupling the RAM-budget emulator's eviction granularity to scan
+// the knob coupling the RAM budget's eviction granularity to scan
 // throughput; this bench shows the flat region where the default (~8 MiB)
 // sits.
 

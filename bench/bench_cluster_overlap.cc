@@ -1,8 +1,8 @@
 // Measured I/O/compute overlap inside the simulated Spark cluster. Every
 // partition task runs through a real per-partition exec::ChunkPipeline
 // bound to the mmap'd dataset: each instance walks its shard in the
-// strided task order, cached partitions scan with WILLNEED readahead and
-// trailing eviction under the instance's RAM budget (their pages survive
+// strided task order, cached partitions scan with WILLNEED readahead under
+// a share of the instance's RAM budget that pins them (their pages survive
 // between jobs — the RDD cache, measured), and spilled partitions are
 // force-evicted before every job so each use re-faults from storage (the
 // per-iteration spill re-read the cost model charges, now observable).

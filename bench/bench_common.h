@@ -113,20 +113,6 @@ inline uint64_t ImagesForMb(uint64_t mb) {
   return (mb << 20) / (data::kImageFeatures * sizeof(double));
 }
 
-/// \brief The engine stats of everything `dataset` has scanned since it
-/// was opened: its pipeline's PipelineStats with the RAM-budget
-/// emulator's evictions added, since under a sequential scan the emulator,
-/// not the pipeline, evicts behind the scan.
-inline exec::PipelineStats DatasetStats(MappedDataset& dataset) {
-  exec::PipelineStats stats = dataset.pipeline().stats();
-  if (const RamBudgetEmulator* budget = dataset.ram_budget();
-      budget != nullptr) {
-    stats.evictions += budget->evictions();
-    stats.bytes_evicted += budget->bytes_evicted();
-  }
-  return stats;
-}
-
 /// \brief Machine-readable bench output: one BENCH_<name>.json per bench.
 ///
 /// Every measured configuration is recorded with its wall seconds and the

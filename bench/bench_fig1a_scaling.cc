@@ -116,9 +116,7 @@ int Run(int argc, char** argv) {
     point.passes = stats.function_evaluations;
     point.out_of_core =
         (size_mb << 20) > static_cast<uint64_t>(budget_mb) << 20;
-    if (auto* budget = dataset.value().ram_budget(); budget != nullptr) {
-      point.evicted_bytes = budget->bytes_evicted();
-    }
+    point.evicted_bytes = dataset.value().pipeline().stats().bytes_evicted;
     points.push_back(point);
     std::printf("  %4llu MiB: %8.2fs  (%llu passes, cpu %.0f%%, %s)\n",
                 static_cast<unsigned long long>(size_mb), seconds,

@@ -1,10 +1,10 @@
 // §4 future work: "develop mathematical models and systematic approaches
 // to profile and predict algorithm performance".
 //
-// Validates the measurement-calibrated PerfModel: train at the first size
-// with the execution engine (repeating the training call until its passes
-// hold at least kMinCalibrationDriveSeconds of drive time), fit every
-// model parameter from the measured exec::PipelineStats
+// Validates the measurement-calibrated PerfModel: train at every size with
+// the execution engine (repeating the training call until its passes hold
+// at least kMinCalibrationDriveSeconds of drive time), fit every model
+// parameter from the first size's measured exec::PipelineStats
 // (core/model_fit::FitFromStats — CPU cost, disk bandwidth, overlap
 // efficiency), then predict the measured engine drive time of the
 // remaining sizes and report the residuals. The fitted
@@ -30,9 +30,9 @@
 namespace m3::bench {
 namespace {
 
-/// The calibration size repeats whole training calls until its pipeline
-/// has driven at least this much wall time, so the fit rests on a
-/// measurable interval however few passes one call costs.
+/// Every size repeats whole training calls until its pipeline has driven
+/// at least this much wall time, so the fit and each extrapolated point
+/// rest on a measurable interval however few passes one call costs.
 constexpr double kMinCalibrationDriveSeconds = 0.25;
 
 int Run(int argc, char** argv) {
@@ -106,7 +106,6 @@ int Run(int argc, char** argv) {
     }
     auto dataset = MappedDataset::Open(path).ValueOrDie();
     dataset.mapping().TouchAllPages();  // warm: isolate the CPU term
-    const bool calibrating = measured.empty();
     size_t calls = 0;
     do {
       auto model = TrainLogisticRegression(dataset, options);
@@ -115,18 +114,18 @@ int Run(int argc, char** argv) {
         return 1;
       }
       ++calls;
-    } while (calibrating && dataset.pipeline().stats().drive_seconds <
-                                kMinCalibrationDriveSeconds);
+    } while (dataset.pipeline().stats().drive_seconds <
+             kMinCalibrationDriveSeconds);
     Measurement m;
     m.size_mb = size_mb;
     m.bytes = dataset.feature_bytes();
     m.stats = dataset.pipeline().stats();
-    if (calibrating) {
-      std::printf("calibration: %zu training calls, %llu passes, %.3f s "
-                  "drive (at least %.2f s)\n",
-                  calls, static_cast<unsigned long long>(m.stats.passes),
-                  m.stats.drive_seconds, kMinCalibrationDriveSeconds);
-    }
+    std::printf("%llu MiB%s: %zu training calls, %llu passes, %.3f s drive "
+                "(at least %.2f s)\n",
+                static_cast<unsigned long long>(size_mb),
+                measured.empty() ? " (calibration)" : "", calls,
+                static_cast<unsigned long long>(m.stats.passes),
+                m.stats.drive_seconds, kMinCalibrationDriveSeconds);
     measured.push_back(m);
   }
   M3_IGNORE_STATUS(io::RemoveFile(path), "best-effort scratch cleanup");

@@ -46,7 +46,7 @@ EpochResult RunConfig(const std::string& path, const M3Options& options,
   EpochResult result;
   result.seconds = watch.ElapsedSeconds();
   result.usage = io::ResourceSample::Now() - before;
-  result.stats = DatasetStats(dataset);
+  result.stats = dataset.pipeline().stats();
   if (!model.ok()) {
     std::fprintf(stderr, "training failed: %s\n",
                  model.status().ToString().c_str());

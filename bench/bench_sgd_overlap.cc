@@ -119,8 +119,8 @@ SgdRun RunHandRolled(MappedDataset& dataset, la::ConstVectorView y,
           (1.0 + sgd.decay * static_cast<double>(step_index));
       la::Axpy(-lr * scale, grad, w);
       ++step_index;
-      // Trailing-window eviction by hand (what the engine's evict stage
-      // now does for every schedule-driven scan).
+      // Trailing-window eviction by hand. The engine's evict stage instead
+      // pins a chunk prefix and evicts every other chunk at retire.
       resident.emplace_back(
           dataset.meta().features_offset + range.begin * row_bytes,
           range.size() * row_bytes);

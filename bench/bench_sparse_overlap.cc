@@ -185,7 +185,7 @@ int Run(int argc, char** argv) {
     auto model = TrainLogisticRegression(dataset, train_options);
     result.seconds = watch.ElapsedSeconds();
     result.usage = io::ResourceSample::Now() - before;
-    result.stats = DatasetStats(dataset);
+    result.stats = dataset.pipeline().stats();
     result.trained = model.ok();
     if (!model.ok()) {
       std::fprintf(stderr, "dense training failed: %s\n",

@@ -85,12 +85,13 @@ int Run(int argc, char** argv) {
   std::printf("Resource profile: CPU utilization %.0f%% of %zu cores (%s)\n",
               usage.CpuUtilization(cpus) * 100, cpus,
               usage.ToString().c_str());
-  if (auto* budget = dataset.value().ram_budget(); budget != nullptr) {
-    std::printf("RAM-budget emulator: %llu evictions, %s re-read candidates "
-                "across %llu passes\n",
-                static_cast<unsigned long long>(budget->evictions()),
-                m3::util::HumanBytes(budget->bytes_evicted()).c_str(),
-                static_cast<unsigned long long>(budget->passes()));
+  if (options.ram_budget_bytes > 0) {
+    const m3::exec::PipelineStats engine = dataset.value().pipeline().stats();
+    std::printf("RAM budget: %llu evictions, %s re-read candidates across "
+                "%llu passes\n",
+                static_cast<unsigned long long>(engine.evictions),
+                m3::util::HumanBytes(engine.bytes_evicted).c_str(),
+                static_cast<unsigned long long>(engine.passes));
   }
 
   auto features = dataset.value().features();

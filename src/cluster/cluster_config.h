@@ -17,7 +17,7 @@ namespace m3::cluster {
 /// With `use_pipelines` set, every simulated partition task runs through a
 /// real per-partition `exec::ChunkPipeline` bound to the dataset mapping
 /// (when one is provided): cached partitions scan with MADV_WILLNEED
-/// readahead and trailing eviction under the instance's RAM budget, and
+/// readahead and eviction at retire under the instance's RAM budget, and
 /// spilled partitions are force-evicted before every job so each use
 /// re-faults from storage — the measured analogue of Spark re-reading
 /// spilled RDD blocks. Results are bitwise identical with pipelines off,

@@ -72,7 +72,8 @@ uint64_t PartitionExecutor::BudgetFor(const Partition& partition) const {
                                            : 0;
   }
   // A zero share would disable engine eviction entirely (the opposite of a
-  // tight budget); keep at least one byte so the trailing window evicts.
+  // tight budget). A one-byte floor pins no chunk, so every chunk of the
+  // partition is evicted as it retires.
   return std::max<uint64_t>(1, share);
 }
 

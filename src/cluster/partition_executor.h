@@ -30,11 +30,11 @@ namespace m3::cluster {
 /// With `ClusterExecOptions::use_pipelines` on, each partition owns an
 /// `exec::ChunkPipeline` (created lazily, persisting across jobs):
 ///   - bound to the partition's byte range of the dataset mapping when the
-///     run is mmap-backed, so prefetch readahead and trailing eviction are
+///     run is mmap-backed, so prefetch readahead and eviction at retire are
 ///     real madvise calls on real pages;
-///   - cached partitions keep their trailing residency window across jobs
-///     under a pro-rata share of the instance's RAM budget — later jobs
-///     find their pages resident (prefetch hits);
+///   - cached partitions get a pro-rata share of the instance's RAM budget;
+///     a share that covers the partition pins every chunk, so later jobs
+///     find its pages resident (prefetch hits);
 ///   - spilled partitions are force-evicted before every pass, so every
 ///     job re-faults them from storage (Spark's per-iteration spill
 ///     re-read, measured instead of only modeled).

@@ -12,9 +12,6 @@ Result<io::MemoryMappedFile> MmapAllocDoubles(const std::string& file,
 Result<ml::LogisticRegressionModel> TrainLogisticRegression(
     MappedDataset& dataset, ml::LogisticRegressionOptions options,
     ml::OptimizationResult* stats) {
-  if (!options.hooks.after_chunk && !options.hooks.before_pass) {
-    options.hooks = dataset.MakeScanHooks();
-  }
   if (options.chunk_rows == 0) {
     options.chunk_rows = dataset.chunk_rows();
   }
@@ -27,9 +24,6 @@ Result<ml::LogisticRegressionModel> TrainLogisticRegression(
 
 Result<ml::KMeansResult> TrainKMeans(MappedDataset& dataset,
                                      ml::KMeansOptions options) {
-  if (!options.hooks.after_chunk && !options.hooks.before_pass) {
-    options.hooks = dataset.MakeScanHooks();
-  }
   if (options.chunk_rows == 0) {
     options.chunk_rows = dataset.chunk_rows();
   }

@@ -20,8 +20,9 @@
 ///
 /// Pipelined out-of-core execution (src/exec/): every dataset scan runs on
 /// an exec::ChunkPipeline that overlaps MADV_WILLNEED prefetch of chunk
-/// i+1 with compute on chunk i and evicts consumed pages behind the scan
-/// when a RAM budget is set — the disk streams while the CPU computes.
+/// i+1 with compute on chunk i and, when a RAM budget is set, keeps the
+/// first chunks that fit in it resident and evicts every other chunk as it
+/// retires — the disk streams while the CPU computes.
 /// Tune it with M3Options::readahead_chunks / pipeline_workers, or drive
 /// custom scans directly:
 ///
@@ -50,7 +51,6 @@
 #include "core/mapped_dataset.h"
 #include "core/options.h"
 #include "core/perf_model.h"
-#include "core/ram_budget.h"
 #include "io/mmap_file.h"
 #include "ml/kmeans.h"
 #include "ml/logistic_regression.h"
@@ -67,15 +67,16 @@ util::Result<io::MemoryMappedFile> MmapAllocDoubles(const std::string& file,
                                                     uint64_t count);
 
 /// \brief Trains binary logistic regression on a mapped dataset with the
-/// paper's configuration (10 L-BFGS iterations by default); RAM-budget
-/// hooks from the dataset are installed automatically.
+/// paper's configuration (10 L-BFGS iterations by default). Every pass
+/// runs on `dataset.pipeline()` unless `options.pipeline` names another,
+/// so the dataset's RAM budget applies.
 util::Result<ml::LogisticRegressionModel> TrainLogisticRegression(
     MappedDataset& dataset,
     ml::LogisticRegressionOptions options = ml::LogisticRegressionOptions(),
     ml::OptimizationResult* stats = nullptr);
 
 /// \brief Runs k-means on a mapped dataset (paper configuration: k = 5,
-/// 10 iterations); RAM-budget hooks installed automatically.
+/// 10 iterations) on the dataset's pipeline, like TrainLogisticRegression.
 util::Result<ml::KMeansResult> TrainKMeans(
     MappedDataset& dataset, ml::KMeansOptions options = ml::KMeansOptions());
 

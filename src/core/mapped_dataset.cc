@@ -35,17 +35,7 @@ Result<MappedDataset> MappedDataset::Open(const std::string& path,
 
 MappedDataset::MappedDataset(std::unique_ptr<io::MemoryMappedFile> mapping,
                              data::DatasetMeta meta, M3Options options)
-    : mapping_(std::move(mapping)), meta_(meta), options_(options) {
-  // The emulator's linear trailing cursor only models ascending scans;
-  // under a non-sequential scan order the engine's per-visited-chunk
-  // window enforces the budget instead (see pipeline()).
-  if (options_.ram_budget_bytes > 0 &&
-      options_.scan_order == exec::ScanOrder::kSequential) {
-    budget_ = std::make_unique<RamBudgetEmulator>(
-        mapping_.get(), options_.ram_budget_bytes,
-        meta_.cols * sizeof(double), meta_.features_offset);
-  }
-}
+    : mapping_(std::move(mapping)), meta_(meta), options_(options) {}
 
 la::ConstMatrixView MappedDataset::features() const {
   // m3-aligned: ReadDatasetMeta rejects misaligned section offsets
@@ -67,13 +57,6 @@ std::vector<double> MappedDataset::CopyLabels() const {
   return std::vector<double>(view.begin(), view.end());
 }
 
-ml::ScanHooks MappedDataset::MakeScanHooks() {
-  if (budget_ != nullptr) {
-    return budget_->MakeHooks();
-  }
-  return ml::ScanHooks();
-}
-
 uint64_t MappedDataset::ScanChunkRows() const {
   return la::AutoChunkRows(meta_.cols, options_.chunk_rows);
 }
@@ -89,14 +72,7 @@ exec::ChunkPipeline& MappedDataset::pipeline() {
     options.num_workers = options_.pipeline_workers;
     options.advice = options_.advice;
     options.prefetch_backend = options_.prefetch_backend;
-    // Under a sequential scan order, budget eviction stays with the
-    // RamBudgetEmulator via ScanHooks so its counters keep accounting for
-    // all eviction work. A permuted order has no linear cursor, so the
-    // engine's trailing window over visited chunks enforces the budget.
-    options.ram_budget_bytes =
-        options_.scan_order == exec::ScanOrder::kSequential
-            ? 0
-            : options_.ram_budget_bytes;
+    options.ram_budget_bytes = options_.ram_budget_bytes;
     pipeline_ = std::make_unique<exec::ChunkPipeline>(region, options);
   }
   return *pipeline_;
@@ -110,23 +86,12 @@ exec::ChunkSchedule MappedDataset::MakeScanSchedule(size_t num_chunks) const {
 }
 
 void MappedDataset::ForEachChunk(const exec::ChunkFn& fn) {
-  ml::ScanHooks hooks = MakeScanHooks();
-  if (hooks.before_pass) {
-    hooks.before_pass(scan_passes_);
-  }
   const la::RowChunker chunker(rows(), ScanChunkRows());
   const exec::ChunkSchedule schedule = MakeScanSchedule(chunker.NumChunks());
   ++scan_passes_;
-  pipeline().Run(
-      chunker, schedule,
-      [&fn](size_t, size_t chunk, size_t row_begin, size_t row_end) {
-        fn(chunk, row_begin, row_end);
-      },
-      [&](size_t, size_t, size_t row_begin, size_t row_end) {
-        if (hooks.after_chunk) {
-          hooks.after_chunk(row_begin, row_end);
-        }
-      });
+  pipeline().Run(chunker, schedule,
+                 [&fn](size_t, size_t chunk, size_t row_begin,
+                       size_t row_end) { fn(chunk, row_begin, row_end); });
 }
 
 Status MappedDataset::Advise(io::Advice advice) {

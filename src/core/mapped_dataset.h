@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/options.h"
-#include "core/ram_budget.h"
 #include "data/dataset.h"
 #include "exec/chunk_map_reduce.h"
 #include "exec/chunk_pipeline.h"
@@ -23,8 +22,10 @@ namespace m3 {
 /// The central M3 abstraction: open a dataset of any size and receive
 /// matrix/vector *views* indistinguishable from in-memory data. Algorithms
 /// take the views; the OS pages the file in and out. With
-/// `M3Options::ram_budget_bytes` set, a RamBudgetEmulator rides along and
-/// forces the out-of-core regime at laptop scale.
+/// `M3Options::ram_budget_bytes` set, the dataset's pipeline keeps only
+/// the first chunks that fit in the budget resident and evicts every other
+/// chunk as it retires, which forces the out-of-core regime at laptop
+/// scale.
 ///
 ///   auto ds = m3::MappedDataset::Open("digits.m3").ValueOrDie();
 ///   trainer.Train(ds.features(), ds.labels());   // unchanged ML code
@@ -59,17 +60,15 @@ class MappedDataset {
   io::MemoryMappedFile& mapping() { return *mapping_; }
   const io::MemoryMappedFile& mapping() const { return *mapping_; }
 
-  /// Scan hooks for training objectives. When a RAM budget is configured
-  /// the hooks evict behind the scan; otherwise they are empty (no-ops).
-  ml::ScanHooks MakeScanHooks();
-
-  /// The emulator, or nullptr when no budget is configured.
-  RamBudgetEmulator* ram_budget() { return budget_.get(); }
+  /// Empty scan hooks. The RAM budget is enforced by pipeline(), not by
+  /// hooks; this stays for instrumentation that wraps the dataset's hooks
+  /// (the repository benchmark's scan probe).
+  ml::ScanHooks MakeScanHooks() const { return ml::ScanHooks(); }
 
   /// The pipelined execution engine bound to the feature region, created
   /// lazily from the open options (readahead_chunks, pipeline_workers,
-  /// advice). Eviction under a RAM budget stays with the emulator hooks,
-  /// so budget accounting is identical with and without the engine.
+  /// advice, ram_budget_bytes). Its PipelineStats hold every eviction the
+  /// budget causes, under every scan order.
   exec::ChunkPipeline& pipeline();
 
   /// \name Pipelined chunk scans over the feature rows.
@@ -77,7 +76,7 @@ class MappedDataset {
   /// ForEachChunk drives `fn(chunk_index, row_begin, row_end)` over the
   /// whole feature matrix in `M3Options::scan_order` order (`chunk_rows()`
   /// rows per chunk) with prefetch ahead of the scan — along the
-  /// schedule's permutation — and budget eviction behind it.
+  /// schedule's permutation — and budget eviction as chunks retire.
   /// MapReduceChunks additionally collects one `T` partial per chunk and
   /// folds them in ascending *visit* order — deterministic at any engine
   /// worker count for a fixed schedule. Both perform exactly one full
@@ -87,10 +86,6 @@ class MappedDataset {
 
   template <typename T, typename MapFn, typename ReduceFn>
   void MapReduceChunks(MapFn&& map, ReduceFn&& reduce) {
-    ml::ScanHooks hooks = MakeScanHooks();
-    if (hooks.before_pass) {
-      hooks.before_pass(scan_passes_);
-    }
     const la::RowChunker chunker(rows(), ScanChunkRows());
     const exec::ChunkSchedule schedule = MakeScanSchedule(chunker.NumChunks());
     ++scan_passes_;
@@ -99,12 +94,8 @@ class MappedDataset {
         [&map](size_t chunk, size_t row_begin, size_t row_end) {
           return map(chunk, row_begin, row_end);
         },
-        [&](size_t chunk, T&& partial) {
+        [&reduce](size_t chunk, T&& partial) {
           reduce(chunk, std::move(partial));
-          if (hooks.after_chunk) {
-            const la::RowChunker::Range range = chunker.Chunk(chunk);
-            hooks.after_chunk(range.begin, range.end);
-          }
         });
   }
   /// @}
@@ -137,11 +128,10 @@ class MappedDataset {
                 data::DatasetMeta meta, M3Options options);
 
   // unique_ptr keeps the mapping address stable across moves so the
-  // emulator's pointer (and any outstanding views) remain valid.
+  // pipeline's region (and any outstanding views) remain valid.
   std::unique_ptr<io::MemoryMappedFile> mapping_;
   data::DatasetMeta meta_;
   M3Options options_;
-  std::unique_ptr<RamBudgetEmulator> budget_;
   std::unique_ptr<exec::ChunkPipeline> pipeline_;
   /// Set while the global trace session is active: the residency sampler
   /// tracks this dataset's mincore-resident bytes for its lifetime.

@@ -25,9 +25,12 @@ struct M3Options {
 
   /// Emulated RAM budget in bytes for the feature region. 0 disables
   /// emulation (use all physical RAM, the paper's in-core regime). When
-  /// positive, pages more than `ram_budget_bytes` behind the scan cursor
-  /// are evicted (madvise(DONTNEED) + fadvise(DONTNEED)), reproducing the
-  /// paper's dataset-exceeds-RAM regime at laptop scale.
+  /// positive, every scan pass keeps the longest prefix of chunks that fits
+  /// in `ram_budget_bytes` resident and evicts every other chunk
+  /// (madvise(DONTNEED) + fadvise(DONTNEED)) as it retires, reproducing the
+  /// paper's dataset-exceeds-RAM regime at laptop scale: each pass re-reads
+  /// all but the pinned bytes. Chunks in flight (dispatched or prefetched)
+  /// come on top of the budget; see exec::PipelineOptions.
   uint64_t ram_budget_bytes = 0;
 
   /// Rows per sequential scan chunk for training algorithms (0 = auto).
@@ -71,11 +74,8 @@ struct M3Options {
   /// determinism reference); SGD builds its own per-epoch shuffled
   /// schedules from SgdOptions::seed.
   ///
-  /// With a RAM budget, sequential scans enforce it through the
-  /// RamBudgetEmulator's linear trailing cursor (exact byte window);
-  /// non-sequential orders enforce it engine-side as a trailing window
-  /// over *visited* chunks (the linear cursor is meaningless under a
-  /// permutation). Both bound residency to ram_budget_bytes.
+  /// The RAM budget pins chunks by index, so every order keeps the same
+  /// chunks resident and evicts the others as it visits them.
   exec::ScanOrder scan_order = exec::ScanOrder::kSequential;
 
   /// Base seed for kShuffled dataset scans. Pass p reshuffles with seed

@@ -169,9 +169,6 @@ exec::ChunkPipeline& MappedSparseDataset::pipeline() {
     options.num_workers = options_.pipeline_workers;
     options.advice = options_.advice;
     options.prefetch_backend = options_.prefetch_backend;
-    // Sparse scans have no RamBudgetEmulator (its linear row cursor
-    // assumes a uniform stride), so the engine's trailing span window
-    // enforces the budget under every scan order.
     options.ram_budget_bytes = options_.ram_budget_bytes;
     pipeline_ = std::make_unique<exec::ChunkPipeline>(region, options);
   }

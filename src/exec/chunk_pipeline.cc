@@ -1,6 +1,7 @@
 #include "exec/chunk_pipeline.h"
 
 #include <algorithm>
+#include <deque>
 #include <future>
 #include <utility>
 #include <vector>
@@ -186,7 +187,9 @@ void ChunkPipeline::RunMapStage(const ScheduledChunkFn& map, size_t position,
   const double elapsed = watch.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.compute_seconds += elapsed;
-  stats_.compute_duration.Add(elapsed);
+  if (race_stage_ == RaceStage::kMap) {
+    stats_.compute_duration.Add(elapsed);
+  }
   if (racing) {
     if (hit) {
       ++stats_.prefetch_hits;
@@ -248,67 +251,41 @@ void ChunkPipeline::RunRetireStage(const ScheduledChunkFn& retire,
   const double elapsed = watch.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.retire_seconds += elapsed;
+  if (race_stage_ == RaceStage::kRetire) {
+    stats_.compute_duration.Add(elapsed);
+  }
   if (race != nullptr && race[0] == 's') {  // "stall"
     stats_.stall_duration.Add(elapsed);
   }
 }
 
-void ChunkPipeline::EvictRetired(const la::Chunker::Range& range) {
-  if (!bound() || options_.ram_budget_bytes == 0) {
+void ChunkPipeline::EvictRetired(size_t chunk,
+                                 const la::Chunker::Range& range) {
+  if (!bound() || options_.ram_budget_bytes == 0 || chunk < pinned_chunks_) {
     return;
   }
-  // The retired chunk's spans join the trailing residency window; the
-  // oldest-visited spans beyond the budget leave it. Visit order — not
-  // file order — so the window is correct under any schedule. A ragged
-  // (byte_map) chunk holds one entry per span, all admitted together.
+  // Inline on the driving thread, before the next position retires: an
+  // eviction queued behind prefetches on the I/O thread would leave the
+  // chunk resident for as long as that queue takes to drain.
   std::vector<ByteSpan> spans;
   AppendChunkSpans(range.begin, range.end, &spans);
-  for (const ByteSpan& span : spans) {
-    if (span.length == 0) {
-      continue;
+  for (const ByteSpan& bytes : spans) {
+    if (bytes.length == 0) {
+      continue;  // fadvise reads length 0 as "to the end of the file"
     }
-    // A revisited chunk (window carried across passes) would otherwise hold
-    // two entries: its bytes double-counted and the stale entry later
-    // evicting pages this visit just re-admitted. Keep only the newest.
-    // Spans are a pure function of the row range, so offset identity is
-    // chunk identity.
-    for (auto it = resident_window_.begin(); it != resident_window_.end();
-         ++it) {
-      if (it->first == span.offset) {
-        resident_window_bytes_ -= it->second;
-        resident_window_.erase(it);
-        break;
-      }
+    obs::ScopedSpan span("exec", "evict");
+    if (span.armed()) {
+      span.AddArg("bytes", bytes.length);
     }
-    resident_window_.emplace_back(span.offset, span.length);
-    resident_window_bytes_ += span.length;
-  }
-  while (resident_window_bytes_ > options_.ram_budget_bytes &&
-         !resident_window_.empty()) {
-    const auto [offset, length] = resident_window_.front();
-    resident_window_.pop_front();
-    resident_window_bytes_ -= length;
-    const io::MemoryMappedFile* mapping = region_.mapping;
-    auto evict = [this, mapping, offset, length] {
-      obs::NameThisThread("pipeline-io");
-      obs::ScopedSpan span("exec", "evict");
-      if (span.armed()) {
-        span.AddArg("bytes", static_cast<uint64_t>(length));
-      }
-      util::Stopwatch watch;
-      util::Status status = mapping->Evict(offset, length);
-      const double elapsed = watch.ElapsedSeconds();
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.evict_seconds += elapsed;
-      if (status.ok()) {
-        ++stats_.evictions;
-        stats_.bytes_evicted += length;
-      }
-    };
-    if (options_.synchronous_eviction) {
-      evict();
-    } else {
-      io_pool_->Submit(std::move(evict));
+    util::Stopwatch watch;
+    const util::Status status =
+        region_.mapping->Evict(bytes.offset, bytes.length);
+    const double elapsed = watch.ElapsedSeconds();
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.evict_seconds += elapsed;
+    if (status.ok()) {
+      ++stats_.evictions;
+      stats_.bytes_evicted += bytes.length;
     }
   }
 }
@@ -328,7 +305,7 @@ void ChunkPipeline::RunSerial(const la::Chunker& chunker,
     if (retire) {
       RunRetireStage(retire, pos, chunk, range.begin, range.end);
     }
-    EvictRetired(range);
+    EvictRetired(chunk, range);
   }
 }
 
@@ -362,7 +339,7 @@ void ChunkPipeline::RunParallel(const la::Chunker& chunker,
       if (retire) {
         RunRetireStage(retire, retiring, chunk, range.begin, range.end);
       }
-      EvictRetired(range);
+      EvictRetired(chunk, range);
     }
   } catch (...) {
     // A throwing functor must not leave workers running maps that
@@ -410,13 +387,6 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   util::Stopwatch watch;
   prefetch_goal_ = 0;
   prefetched_through_.store(0, std::memory_order_release);
-  // resident_window_ deliberately carries over: the previous pass's
-  // trailing window is still resident, so dropping it from accounting at
-  // an epoch boundary would let peak residency reach ~2x the budget while
-  // the new pass fills a fresh window. Revisits dedupe their stale entry
-  // at retire (see EvictRetired); the residual cost is a stale entry
-  // popping while its chunk is prefetched-but-not-yet-visited early in
-  // the next pass — one wasted prefetch, never an accounting leak.
   race_stage_ = race_stage;
   // Warm-up exclusion window. At kMap the dispatch cursor runs up to the
   // in-flight window ahead of retire, so fan-out widens the set of
@@ -445,6 +415,20 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
     }
     region_.mapping->AdviseRange(advice, extent.offset, extent.length)
         .IgnoreError();
+    // The pinned prefix depends only on the chunker, the byte map and the
+    // budget, so every pass of a cyclic scan keeps the same chunks
+    // resident and re-reads only the rest.
+    pinned_chunks_ = 0;
+    if (options_.ram_budget_bytes > 0) {
+      uint64_t pinned_bytes = 0;
+      for (; pinned_chunks_ < chunker.NumChunks(); ++pinned_chunks_) {
+        const la::Chunker::Range range = chunker.Chunk(pinned_chunks_);
+        pinned_bytes += ChunkBytes(range.begin, range.end);
+        if (pinned_bytes > options_.ram_budget_bytes) {
+          break;
+        }
+      }
+    }
     // Warm the pipe before compute starts.
     RequestPrefetchThrough(chunker, schedule, options_.readahead_chunks);
   }
@@ -456,12 +440,12 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
     }
   } catch (...) {
     if (io_pool_ != nullptr) {
-      io_pool_->Wait();  // outstanding prefetch/evict tasks use `this`
+      io_pool_->Wait();  // outstanding prefetch tasks use `this`
     }
     throw;
   }
   if (io_pool_ != nullptr) {
-    io_pool_->Wait();  // settle outstanding prefetches/evictions
+    io_pool_->Wait();  // settle outstanding prefetches
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

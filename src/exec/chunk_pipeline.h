@@ -15,10 +15,10 @@
 ///   3. retire — always the driving thread, in ascending schedule-position
 ///      order. The in-order barrier that makes reductions (and SGD weight
 ///      updates) bitwise identical at any worker count and any backend.
-///   4. evict — retired chunks join a trailing residency window; the
-///      oldest-visited ranges beyond `ram_budget_bytes` are dropped
-///      (madvise DONTNEED + fadvise) on the I/O thread (or inline with
-///      `synchronous_eviction`).
+///   4. evict — under a RAM budget each pass pins the longest prefix of
+///      chunk indices [0, k) whose bytes fit in `ram_budget_bytes`; every
+///      other chunk is dropped (madvise DONTNEED + fadvise) on the driving
+///      thread right after it retires.
 ///
 /// Thread-safety: Run() is not reentrant — one pass at a time per
 /// pipeline. `map` must be thread-safe across chunks iff num_workers >= 2;
@@ -35,11 +35,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "exec/chunk_schedule.h"
@@ -68,9 +66,9 @@ struct ByteSpan {
 /// over to any layout unchanged.
 ///
 /// Implementations must be pure functions of the row range (same range →
-/// same spans, every call, every pass): the evict window dedupes revisited
-/// chunks by their first span's offset, and stall accounting assumes a
-/// chunk's byte cost is stable. Spans are absolute offsets into the
+/// same spans, every call, every pass): the pinned prefix is sized from
+/// chunk bytes every pass, and stall accounting assumes a chunk's byte
+/// cost is stable. Spans are absolute offsets into the
 /// mapping. Must be safe to call from the pipeline's I/O thread
 /// concurrently with the driver (const, no mutation).
 class ChunkByteMap {
@@ -118,13 +116,13 @@ struct PipelineOptions {
   /// schedule order).
   size_t num_workers = 0;
 
-  /// When positive, the evict stage keeps at most this many bytes of
-  /// visited chunks resident: each retired chunk joins a trailing window
-  /// and the oldest-visited chunks are dropped (madvise DONTNEED) once the
-  /// window exceeds the budget. Works for any ChunkSchedule — under a
-  /// shuffled or strided order the window follows the *visit* order, not
-  /// ascending file offsets. 0 disables engine-side eviction — callers
-  /// that already evict via ScanHooks keep doing so in `retire`.
+  /// When positive, each pass pins the longest prefix of chunk indices
+  /// [0, k) whose bytes fit in this budget and evicts (madvise DONTNEED +
+  /// fadvise DONTNEED) every other chunk as soon as it retires. The pinned
+  /// set is keyed by chunk index, so it is the same under every
+  /// ChunkSchedule, and a cyclic scan re-reads only the unpinned bytes.
+  /// Chunks in flight (dispatched or prefetched, not yet retired) come on
+  /// top of the pinned bytes. 0 disables eviction.
   uint64_t ram_budget_bytes = 0;
 
   /// madvise hint applied to the scanned region at the start of each pass
@@ -132,10 +130,6 @@ struct PipelineOptions {
   /// driven by a non-sequential schedule downgrade kSequential to kNormal
   /// so kernel readahead does not race ahead of the permuted visit order.
   io::Advice advice = io::Advice::kSequential;
-
-  /// Run evictions inline at retire instead of on the background stage.
-  /// Deterministic residency for tests; slightly less overlap.
-  bool synchronous_eviction = false;
 
   /// Which io::PrefetchBackend the prefetch stage drives: kMadvise issues
   /// MADV_WILLNEED (the default), kPread warms the page cache with
@@ -190,11 +184,11 @@ using ScheduledChunkFn =
 /// engine makes the overlap explicit and generalizes it beyond ascending
 /// chunk order. While the compute stage runs the functor on the chunk at
 /// schedule position p, a background thread has already issued
-/// MADV_WILLNEED for the chunks at positions (p, p + readahead], and the
-/// oldest-visited chunks beyond the RAM budget are dropped with Evict.
-/// The result: the disk streams continuously instead of idling while we
-/// compute — for sequential scans, shuffled SGD minibatch passes, and
-/// strided shard interleavings alike — and resident bytes stay bounded.
+/// MADV_WILLNEED for the chunks at positions (p, p + readahead], and under
+/// a RAM budget every retired chunk outside the pinned prefix is dropped
+/// with Evict. The result: the disk streams continuously instead of idling
+/// while we compute — for sequential scans, shuffled SGD minibatch passes,
+/// and strided shard interleavings alike — and resident bytes stay bounded.
 ///
 ///   exec::ChunkPipeline pipeline({&mapped, offset, row_bytes}, options);
 ///   pipeline.Run(la::RowChunker(rows, chunk_rows),
@@ -204,8 +198,8 @@ using ScheduledChunkFn =
 /// Thread model: Run() is driven from the calling thread. `map` may run
 /// concurrently on internal workers when `num_workers >= 2`; `retire`
 /// always runs on the calling thread in ascending schedule-position order
-/// (so ScanHooks-style eviction and reductions stay sequential). Run() is
-/// not itself thread-safe: one pass at a time per pipeline.
+/// (so reductions and eviction stay sequential). Run() is not itself
+/// thread-safe: one pass at a time per pipeline.
 class ChunkPipeline {
  public:
   explicit ChunkPipeline(PipelineOptions options = PipelineOptions());
@@ -219,21 +213,20 @@ class ChunkPipeline {
   /// `map` is invoked exactly once per chunk (possibly concurrently, any
   /// order); `retire` is invoked once per chunk on the calling thread, in
   /// ascending chunk order, after that chunk's `map` has returned. Blocks
-  /// until every chunk has retired and background evictions for the pass
-  /// have settled.
+  /// until every chunk has retired and the pass's prefetches have settled.
   void Run(const la::Chunker& chunker, const ChunkFn& map,
            const ChunkFn& retire = ChunkFn());
 
   /// Drives one full pass visiting `chunker`'s chunks in `schedule` order.
   /// Prefetch walks the schedule's permutation `readahead_chunks` positions
-  /// ahead of compute; stall/hit classification and the eviction window
-  /// follow visit positions. `retire` runs on the calling thread in
-  /// ascending *position* order — the in-order retire barrier that keeps
-  /// schedule-driven reductions (and SGD weight updates) bitwise identical
-  /// at any worker count. `race_stage` names the stage whose dispatch
-  /// samples the prefetch hit/stall race for this pass (per pass, not per
-  /// pipeline: trainers share one pipeline between map-compute
-  /// evaluations and retire-compute epochs).
+  /// ahead of compute; stall/hit classification follows visit positions,
+  /// while the pinned prefix is keyed by chunk index. `retire` runs on the
+  /// calling thread in ascending *position* order — the in-order retire
+  /// barrier that keeps schedule-driven reductions (and SGD weight
+  /// updates) bitwise identical at any worker count. `race_stage` names
+  /// the stage whose dispatch samples the prefetch hit/stall race for this
+  /// pass (per pass, not per pipeline: trainers share one pipeline between
+  /// map-compute evaluations and retire-compute epochs).
   /// \pre schedule.num_chunks() == chunker.NumChunks()
   void Run(const la::Chunker& chunker, const ChunkSchedule& schedule,
            const ScheduledChunkFn& map,
@@ -294,9 +287,9 @@ class ChunkPipeline {
   void RunRetireStage(const ScheduledChunkFn& retire, size_t position,
                       size_t chunk, size_t row_begin, size_t row_end);
 
-  /// Appends the retired chunk's byte spans to the trailing residency
-  /// window and evicts the oldest-visited ranges beyond the RAM budget.
-  void EvictRetired(const la::Chunker::Range& range);
+  /// The evict stage: drops the just-retired `chunk`'s byte spans unless
+  /// the chunk lies in the pass's pinned prefix (or no budget is set).
+  void EvictRetired(size_t chunk, const la::Chunker::Range& range);
 
   MappedRegion region_;
   PipelineOptions options_;
@@ -307,8 +300,8 @@ class ChunkPipeline {
   /// Pools owned by this pipeline (empty when the options share pools).
   std::unique_ptr<util::ThreadPool> owned_io_pool_;
   std::unique_ptr<util::ThreadPool> owned_compute_pool_;
-  /// One background thread shared by the prefetch and evict stages; FIFO
-  /// order means prefetches complete in issue order.
+  /// The prefetch stage's one background thread; FIFO order means
+  /// prefetches complete in issue order.
   util::ThreadPool* io_pool_ = nullptr;
   /// Compute fan-out pool (only when num_workers >= 2). Deliberately
   /// separate from util::GlobalThreadPool so chunk functors that
@@ -319,11 +312,9 @@ class ChunkPipeline {
   // All are in schedule-position space, not chunk-index space.
   size_t prefetch_goal_ = 0;  ///< positions [0, goal) have prefetch issued
   std::atomic<size_t> prefetched_through_{0};  ///< completed prefix
-  /// Trailing residency window: byte spans (absolute offset, length) of
-  /// retired chunks not yet evicted, in visit order. A ragged (byte_map)
-  /// chunk contributes one entry per span.
-  std::deque<std::pair<uint64_t, uint64_t>> resident_window_;
-  uint64_t resident_window_bytes_ = 0;
+  /// Chunk indices below this stay resident under the RAM budget (set per
+  /// Run(); chunk-index space, unlike the cursors above).
+  size_t pinned_chunks_ = 0;
   /// Positions below this raced their prefetch with no compute lead time
   /// (pass warm-up) and are excluded from hit/stall classification.
   size_t stall_classify_from_ = 0;

@@ -45,10 +45,10 @@ ChunkSchedule ChunkSchedule::Strided(size_t num_chunks, size_t stride,
     start = 0;
   }
   // stride >= num_chunks with a leading lane of 0 puts every chunk in its
-  // own lane — the identity order — so keep the sequential fast paths
-  // (madvise, byte-exact budget emulation) instead of storing a pointless
-  // permutation. A rotated start is no longer the identity and falls
-  // through to the general construction.
+  // own lane — the identity order — so keep the sequential fast path
+  // (kSequential madvise) instead of storing a pointless permutation. A
+  // rotated start is no longer the identity and falls through to the
+  // general construction.
   if (start == 0 && stride >= num_chunks) {
     return Sequential(num_chunks);
   }

@@ -6,10 +6,11 @@
 ///
 /// A ChunkSchedule maps pass *positions* to RowChunker *chunk indices*:
 /// position p of a pass visits chunk At(p). Everything order-sensitive in
-/// the engine — prefetch readahead, hit/stall classification, the
-/// trailing eviction window — operates in position space, so a shuffled
-/// SGD epoch or a strided shard interleaving gets the same overlap and
-/// bounded residency as a sequential scan. Schedules are immutable value
+/// the engine — prefetch readahead, hit/stall classification, eviction at
+/// retire — operates in position space, while the RAM budget's pinned
+/// prefix is keyed by chunk index, so a shuffled SGD epoch or a strided
+/// shard interleaving gets the same overlap and bounded residency as a
+/// sequential scan. Schedules are immutable value
 /// objects: construction (Fisher-Yates for Shuffled) is the only work,
 /// At() is O(1), and a given (kind, num_chunks, seed/stride/offset) tuple
 /// yields the same permutation on every platform — one half of the

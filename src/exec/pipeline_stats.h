@@ -69,7 +69,7 @@ struct PipelineStats {
   /// updates, union-find merges — show their compute here, not in
   /// compute_seconds.
   double retire_seconds = 0;
-  double evict_seconds = 0;     ///< background time inside Evict calls
+  double evict_seconds = 0;     ///< time inside Evict calls at retire
   double drive_seconds = 0;     ///< wall time of whole passes (end to end)
 
   /// \name Per-chunk duration distributions (tail visibility: the totals
@@ -77,11 +77,12 @@ struct PipelineStats {
   /// chunks catastrophically stalled", which is exactly what the ROADMAP's
   /// async-SGD and serving work needs to see).
   ///
-  /// `compute_duration` samples the map-stage wall seconds of every chunk.
-  /// `stall_duration` samples the wall seconds of the page-touching stage
-  /// of chunks that LOST the prefetch race (map stage for RaceStage::kMap
-  /// scans, retire stage for retire-compute scans) — i.e. compute plus the
-  /// unhidden fault-service time, the honest per-chunk cost of a stall.
+  /// Both sample the wall seconds of the stage that touches a chunk's
+  /// pages: the map stage for RaceStage::kMap scans, the retire stage for
+  /// retire-compute scans (RaceStage::kRetire). `compute_duration` samples
+  /// every chunk; `stall_duration` only the chunks that LOST the prefetch
+  /// race — i.e. compute plus the unhidden fault-service time, the honest
+  /// per-chunk cost of a stall.
   /// Surfaced as p50/p95/p99 by ToJson() and the bench JsonReporter.
   /// @{
   util::Histogram compute_duration;

@@ -107,8 +107,9 @@ class MemoryMappedFile {
   util::Status Prefetch(uint64_t offset, uint64_t length) const;
 
   /// Drops a range from this mapping *and* from the backing file's page
-  /// cache, so the next access re-reads from storage. This is how the
-  /// RAM-budget emulator forces out-of-core behaviour at laptop scale.
+  /// cache, so the next access re-reads from storage. This is how a RAM
+  /// budget (exec::PipelineOptions) forces out-of-core behaviour at laptop
+  /// scale.
   util::Status Evict(uint64_t offset, uint64_t length) const;
 
   /// Touches every page so it is resident (sequential read fault).

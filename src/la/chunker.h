@@ -55,8 +55,7 @@ class Chunker {
 ///
 /// Drives the sequential-scan structure shared by the ML algorithms: one
 /// pass per iteration, chunk by chunk, which is what gives M3 its
-/// sequential, readahead-friendly access pattern on mapped files. Also used
-/// by the RAM-budget emulator to decide which chunk to evict next.
+/// sequential, readahead-friendly access pattern on mapped files.
 class RowChunker : public Chunker {
  public:
   RowChunker(size_t total_rows, size_t chunk_rows)

@@ -34,9 +34,10 @@ class DifferentiableFunction {
 /// \brief Instrumentation hooks for data-scanning objectives.
 ///
 /// `after_chunk` fires after each contiguous block of rows has been
-/// consumed during a pass; the core RAM-budget emulator uses it to evict
-/// pages behind the scan. `before_pass` fires at the start of every full
-/// pass over the data (each optimizer function evaluation is one pass).
+/// consumed during a pass, on the calling thread in ascending chunk order.
+/// `before_pass` fires at the start of every full pass over the data (each
+/// optimizer function evaluation is one pass). Hooks only observe: RAM
+/// budget eviction is the pipeline's evict stage (exec::ChunkPipeline).
 struct ScanHooks {
   std::function<void(size_t row_begin, size_t row_end)> after_chunk;
   std::function<void(size_t pass_index)> before_pass;

@@ -51,9 +51,10 @@ Result<OptimizationResult> Sgd::Minimize(ChunkedObjective* objective,
         // Each step reads the weights the previous step wrote, so gradient
         // work cannot fan out across map workers; the engine's value here
         // is prefetch running ahead along the shuffled schedule (and
-        // budget eviction trailing it) while retire does the math. Retire
-        // order is the schedule order at any worker count, which keeps the
-        // trained weights bitwise identical across engine configurations.
+        // budget eviction as chunks retire) while retire does the math.
+        // Retire order is the schedule order at any worker count, which
+        // keeps the trained weights bitwise identical across engine
+        // configurations.
         [](size_t, size_t, size_t, size_t) {},
         [&](size_t, size_t, size_t row_begin, size_t row_end) {
           grad.SetZero();

@@ -18,8 +18,8 @@ namespace m3::obs {
 ///
 /// Every `period_seconds` (while tracing is enabled) it emits:
 ///   - "residency" / resident_bytes — mincore(2)-resident bytes summed
-///     over the registered mappings (the time-resolved view of the
-///     trailing eviction window doing its job);
+///     over the registered mappings (the time-resolved view of the RAM
+///     budget's pinned chunks plus the chunks in flight);
 ///   - "rss" / rss_bytes — process resident set from /proc/self/statm.
 ///
 /// Engine I/O needs no track of its own: the "prefetch"/"evict" spans

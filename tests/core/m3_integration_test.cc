@@ -97,8 +97,8 @@ TEST_F(M3IntegrationTest, RamBudgetDoesNotChangeResults) {
   auto budgeted = MappedDataset::Open(path, tight).ValueOrDie();
   auto model_tight = TrainLogisticRegression(budgeted, options).ValueOrDie();
 
-  ASSERT_GT(budgeted.ram_budget()->bytes_evicted(), 0u)
-      << "budget emulator never fired";
+  ASSERT_GT(budgeted.pipeline().stats().bytes_evicted, 0u)
+      << "budget eviction never fired";
   for (size_t i = 0; i < model_full.weights.size(); ++i) {
     ASSERT_EQ(model_full.weights[i], model_tight.weights[i]);
   }

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/m3.h"
+#include "core/sparse_mapped_dataset.h"
+#include "data/sparse_dataset.h"
 #include "data/synthetic.h"
 
 namespace m3 {
@@ -68,48 +70,118 @@ TEST_F(MappedDatasetTest, OpenMissingFileFails) {
 TEST_F(MappedDatasetTest, NoBudgetMeansNoHooksAndNoEmulator) {
   const std::string path = MakeDataset("nobudget.m3", 10, 2);
   auto dataset = MappedDataset::Open(path).ValueOrDie();
-  EXPECT_EQ(dataset.ram_budget(), nullptr);
   ml::ScanHooks hooks = dataset.MakeScanHooks();
   EXPECT_FALSE(static_cast<bool>(hooks.after_chunk));
   EXPECT_FALSE(static_cast<bool>(hooks.before_pass));
+  EXPECT_EQ(dataset.pipeline().options().ram_budget_bytes, 0u);
+  dataset.ForEachChunk([](size_t, size_t, size_t) {});
+  const exec::PipelineStats stats = dataset.pipeline().stats();
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes_evicted, 0u);
 }
 
 TEST_F(MappedDatasetTest, BudgetCreatesWorkingEmulator) {
   const std::string path = MakeDataset("budget.m3", 1000, 8);
   M3Options options;
   options.ram_budget_bytes = 1000 * 8 * sizeof(double) / 4;  // quarter of data
+  options.chunk_rows = 100;
   auto dataset = MappedDataset::Open(path, options).ValueOrDie();
-  ASSERT_NE(dataset.ram_budget(), nullptr);
-  ml::ScanHooks hooks = dataset.MakeScanHooks();
-  ASSERT_TRUE(static_cast<bool>(hooks.after_chunk));
-  // Simulate a pass: chunks of 100 rows.
-  hooks.before_pass(0);
-  for (size_t begin = 0; begin < 1000; begin += 100) {
-    hooks.after_chunk(begin, begin + 100);
-  }
-  EXPECT_GT(dataset.ram_budget()->evictions(), 0u);
-  EXPECT_GT(dataset.ram_budget()->bytes_evicted(), 0u);
-  EXPECT_EQ(dataset.ram_budget()->passes(), 1u);
+  // The budget lives in the pipeline; the hooks stay empty.
+  EXPECT_EQ(dataset.pipeline().options().ram_budget_bytes,
+            options.ram_budget_bytes);
+  EXPECT_FALSE(static_cast<bool>(dataset.MakeScanHooks().after_chunk));
+  dataset.ForEachChunk([](size_t, size_t, size_t) {});
+  const exec::PipelineStats stats = dataset.pipeline().stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.bytes_evicted, 0u);
+  EXPECT_EQ(stats.passes, 1u);
 }
 
 TEST_F(MappedDatasetTest, EmulatorEvictsExactlyBehindTheWindow) {
   const std::string path = MakeDataset("window.m3", 100, 4);
   const uint64_t row_bytes = 4 * sizeof(double);
   M3Options options;
-  options.ram_budget_bytes = 20 * row_bytes;  // window of 20 rows
+  options.ram_budget_bytes = 20 * row_bytes;  // pins chunks 0 and 1
+  options.chunk_rows = 10;
   auto dataset = MappedDataset::Open(path, options).ValueOrDie();
-  auto hooks = dataset.MakeScanHooks();
-  hooks.before_pass(0);
-  hooks.after_chunk(0, 10);   // cursor 10 rows < window: nothing evicted
-  EXPECT_EQ(dataset.ram_budget()->bytes_evicted(), 0u);
-  hooks.after_chunk(10, 30);  // cursor 30 rows: evict rows [0, 10)
-  EXPECT_EQ(dataset.ram_budget()->bytes_evicted(), 10 * row_bytes);
-  hooks.after_chunk(30, 50);  // cursor 50: evict rows [10, 30)
-  EXPECT_EQ(dataset.ram_budget()->bytes_evicted(), 30 * row_bytes);
-  // New pass resets the cursor.
-  hooks.before_pass(1);
-  hooks.after_chunk(0, 50);
-  EXPECT_EQ(dataset.ram_budget()->bytes_evicted(), 60 * row_bytes);
+  // Chunk i's map runs after chunks 0..i-1 retired, and each of those past
+  // the pinned pair was evicted at its retire. Every pass repeats this: the
+  // pinned chunks stay, so pass 2 evicts exactly what pass 1 did.
+  for (uint64_t pass = 0; pass < 2; ++pass) {
+    dataset.ForEachChunk([&](size_t chunk, size_t, size_t) {
+      const uint64_t evicted_this_pass = chunk > 2 ? chunk - 2 : 0;
+      EXPECT_EQ(dataset.pipeline().stats().bytes_evicted,
+                (pass * 80 + evicted_this_pass * 10) * row_bytes)
+          << "pass " << pass << " chunk " << chunk;
+    });
+    EXPECT_EQ(dataset.pipeline().stats().bytes_evicted,
+              (pass + 1) * 80 * row_bytes);
+  }
+}
+
+TEST_F(MappedDatasetTest, SequentialBudgetEvictsInThePipelineWhileTraining) {
+  const std::string path = MakeDataset("train_budget.m3", 2000, 8);
+  const uint64_t row_bytes = 8 * sizeof(double);
+  M3Options options;
+  options.chunk_rows = 200;                    // 10 chunks
+  options.ram_budget_bytes = 450 * row_bytes;  // pins chunks 0 and 1
+  auto dataset = MappedDataset::Open(path, options).ValueOrDie();
+  ml::LogisticRegressionOptions train_options;
+  train_options.lbfgs = PaperLbfgsOptions();
+  train_options.lbfgs.max_iterations = 3;
+  ASSERT_TRUE(TrainLogisticRegression(dataset, train_options).ok());
+  // Every training pass runs on the dataset's pipeline, and each one
+  // evicts all but the pinned chunks.
+  const exec::PipelineStats stats = dataset.pipeline().stats();
+  ASSERT_GT(stats.passes, 0u);
+  EXPECT_GT(stats.bytes_evicted, 0u);
+  EXPECT_EQ(stats.bytes_evicted, stats.passes * (2000 - 400) * row_bytes);
+}
+
+TEST_F(MappedDatasetTest, SparseBudgetPinsTheSameChunksEveryPass) {
+  const std::string path = dir_ + "/budget.m3s";
+  data::SparseSyntheticOptions generate;
+  generate.rows = 4000;
+  generate.cols = 200;
+  generate.nnz_per_row = 20;
+  ASSERT_TRUE(data::GenerateSparseDataset(path, generate).ok());
+  M3Options options;
+  options.chunk_nnz_bytes = 64 << 10;
+
+  // Each chunk's bytes are the byte map's spans for its rows (row_ptr,
+  // col_idx and values slices).
+  std::vector<uint64_t> chunk_bytes;
+  {
+    auto probe = MappedSparseDataset::Open(path, options).ValueOrDie();
+    const la::SparseChunker chunker = probe.MakeChunker();
+    for (size_t c = 0; c < chunker.NumChunks(); ++c) {
+      const la::Chunker::Range range = chunker.Chunk(c);
+      std::vector<exec::ByteSpan> spans;
+      probe.byte_map().AppendSpans(range.begin, range.end, &spans);
+      uint64_t bytes = 0;
+      for (const exec::ByteSpan& span : spans) {
+        bytes += span.length;
+      }
+      chunk_bytes.push_back(bytes);
+    }
+  }
+  ASSERT_GT(chunk_bytes.size(), 6u);
+  const uint64_t pinned = chunk_bytes[0] + chunk_bytes[1] + chunk_bytes[2];
+  uint64_t total = 0;
+  for (uint64_t bytes : chunk_bytes) {
+    total += bytes;
+  }
+  options.ram_budget_bytes = pinned + chunk_bytes[3] / 2;  // pins 3 chunks
+
+  auto dataset = MappedSparseDataset::Open(path, options).ValueOrDie();
+  const la::SparseChunker chunker = dataset.MakeChunker();
+  for (uint64_t pass = 1; pass <= 2; ++pass) {
+    dataset.pipeline().Run(chunker, [](size_t, size_t, size_t) {});
+    EXPECT_EQ(dataset.pipeline().stats().bytes_evicted,
+              pass * (total - pinned))
+        << "pass " << pass;
+  }
 }
 
 TEST_F(MappedDatasetTest, AdviseAndEvictAllSucceed) {
@@ -128,13 +200,13 @@ TEST_F(MappedDatasetTest, MoveKeepsViewsAndEmulatorValid) {
   options.ram_budget_bytes = 1024;
   auto dataset = MappedDataset::Open(path, options).ValueOrDie();
   const double first = dataset.features()(0, 0);
-  auto hooks = dataset.MakeScanHooks();  // bound to emulator
+  dataset.pipeline();  // bound to the mapping before the move
   MappedDataset moved = std::move(dataset);
   EXPECT_EQ(moved.features()(0, 0), first);
-  // Hooks captured the emulator owned via unique_ptr: still safe.
-  hooks.before_pass(0);
-  hooks.after_chunk(0, 200);
-  EXPECT_GT(moved.ram_budget()->bytes_evicted(), 0u);
+  // The pipeline's region points at the mapping owned via unique_ptr, so
+  // it still scans and evicts after the move.
+  moved.ForEachChunk([](size_t, size_t, size_t) {});
+  EXPECT_GT(moved.pipeline().stats().bytes_evicted, 0u);
 }
 
 TEST_F(MappedDatasetTest, ShuffledScanOrderVisitsEveryChunkOnce) {
@@ -203,9 +275,6 @@ TEST_F(MappedDatasetTest, ShuffledScanWithBudgetEvictsEngineSide) {
   options.scan_order = exec::ScanOrder::kShuffled;
   options.ram_budget_bytes = 256 * row_bytes;  // quarter of the rows
   auto dataset = MappedDataset::Open(path, options).ValueOrDie();
-  // The linear-cursor emulator cannot track a permuted scan; the engine's
-  // visit-order window replaces it.
-  EXPECT_EQ(dataset.ram_budget(), nullptr);
   double checksum = 0;
   dataset.ForEachChunk([&](size_t, size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
@@ -215,7 +284,7 @@ TEST_F(MappedDatasetTest, ShuffledScanWithBudgetEvictsEngineSide) {
   (void)checksum;
   const exec::PipelineStats stats = dataset.pipeline().stats();
   EXPECT_GT(stats.evictions, 0u);
-  // Everything beyond the 4-chunk budget window was evicted.
+  // Everything but the pinned chunks 0-3 was evicted.
   EXPECT_EQ(stats.bytes_evicted, (1024 - 256) * row_bytes);
 }
 

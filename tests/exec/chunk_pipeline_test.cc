@@ -3,20 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "exec/chunk_map_reduce.h"
 #include "io/file.h"
+#include "io/platform.h"
 #include "la/chunker.h"
 #include "la/matrix.h"
 #include "ml/kmeans.h"
 #include "ml/logistic_regression.h"
 #include "util/random.h"
+#include "util/sys_info.h"
 
 namespace m3::exec {
 namespace {
@@ -296,7 +300,6 @@ TEST_F(BoundPipelineTest, RamBudgetEvictionHonored) {
   // Budget of 256 rows against a 2048-row scan: most of the region must
   // be evicted behind the cursor.
   options.ram_budget_bytes = 256 * kRowBytes;
-  options.synchronous_eviction = true;
   ChunkPipeline pipeline(region, options);
 
   la::RowChunker chunker(kRows, 128);
@@ -320,7 +323,6 @@ TEST_F(BoundPipelineTest, EvictionTrailsTheBudgetWindowExactly) {
   PipelineOptions options;
   options.readahead_chunks = 0;  // isolate the evict stage
   options.ram_budget_bytes = 20 * kRowBytes;
-  options.synchronous_eviction = true;
   ChunkPipeline pipeline(region, options);
 
   std::vector<uint64_t> evicted_after;
@@ -342,6 +344,111 @@ TEST_F(BoundPipelineTest, EvictionTrailsTheBudgetWindowExactly) {
   }
   // After the pass: everything more than 20 rows behind the end is gone.
   EXPECT_EQ(pipeline.stats().bytes_evicted, (kRows - 20) * kRowBytes);
+}
+
+TEST_F(BoundPipelineTest, BudgetPinsTheFirstChunksAcrossPasses) {
+  // One page per row and 32 rows per chunk: every chunk is page-aligned
+  // and spans whole 64 KiB fault-around windows, so eviction drops exactly
+  // its own pages and a worker faulting its neighbour maps none of them.
+  const uint64_t kRowBytes = util::PageSize();
+  const size_t kRows = 512, kChunkRows = 32, kPinned = 5;
+  const uint64_t kChunkBytes = kChunkRows * kRowBytes;
+  const uint64_t kRegionBytes = kRows * kRowBytes;
+  for (const bool shuffled : {false, true}) {
+    for (const size_t workers : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE(::testing::Message() << "shuffled " << shuffled
+                                        << " workers " << workers);
+      io::MemoryMappedFile mapped =
+          MakeMapped(kRows, kRowBytes / sizeof(double));
+      // Clean pages, so eviction can drop them from the page cache.
+      ASSERT_TRUE(
+          io::File::OpenReadOnly(dir_ + "/data.bin").value().Sync().ok());
+      // Start cold. The write left the file in large page-cache folios,
+      // which a chunk-sized eviction cannot split; faults under kRandom
+      // below read single pages.
+      ASSERT_TRUE(mapped.Evict(0, mapped.size()).ok());
+      PipelineOptions options;
+      options.readahead_chunks = 0;  // isolate the evict stage
+      options.num_workers = workers;
+      options.advice = io::Advice::kRandom;  // no kernel readahead either
+      options.ram_budget_bytes = kPinned * kChunkBytes + kChunkBytes / 2;
+      ChunkPipeline pipeline(MappedRegion{&mapped, 0, kRowBytes}, options);
+      la::RowChunker chunker(kRows, kChunkRows);
+      for (uint64_t pass = 1; pass <= 2; ++pass) {
+        // A shuffled scan gets a fresh permutation each pass, as an SGD
+        // epoch does; the pinned set is chunk indices [0, kPinned) anyway.
+        const ChunkSchedule schedule =
+            shuffled ? ChunkSchedule::Shuffled(chunker.NumChunks(), pass)
+                     : ChunkSchedule::Sequential(chunker.NumChunks());
+        pipeline.Run(chunker, schedule,
+                     [&](size_t, size_t, size_t begin, size_t end) {
+                       const volatile char* data = mapped.As<const char>();
+                       for (size_t r = begin; r < end; ++r) {
+                         (void)data[r * kRowBytes];
+                       }
+                     });
+        // Each pass evicts everything but the pinned prefix: a revisit of
+        // a pinned chunk costs no eviction and no re-read.
+        EXPECT_EQ(pipeline.stats().bytes_evicted,
+                  pass * (kRegionBytes - kPinned * kChunkBytes))
+            << "pass " << pass;
+        if (!io::GetPlatformCapabilities().mincore_tracks_eviction) {
+          continue;
+        }
+        for (size_t c = 0; c < chunker.NumChunks(); ++c) {
+          const uint64_t resident =
+              mapped.CountResidentPages(c * kChunkBytes, kChunkBytes)
+                  .ValueOrDie();
+          EXPECT_EQ(resident, c < kPinned ? kChunkRows : 0u)
+              << "pass " << pass << " chunk " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BoundPipelineTest, BudgetEdgesPinEverythingOrNothing) {
+  const size_t kRows = 256, kRowDoubles = 64;
+  const uint64_t kRowBytes = kRowDoubles * sizeof(double);
+  const uint64_t kRegionBytes = kRows * kRowBytes;
+  io::MemoryMappedFile mapped = MakeMapped(kRows, kRowDoubles);
+  la::RowChunker chunker(kRows, 32);
+  PipelineOptions options;
+  options.readahead_chunks = 0;
+
+  // A budget that holds the region pins every chunk: nothing is evicted.
+  options.ram_budget_bytes = kRegionBytes;
+  ChunkPipeline roomy({&mapped, 0, kRowBytes}, options);
+  roomy.Run(chunker, [](size_t, size_t, size_t) {});
+  roomy.Run(chunker, [](size_t, size_t, size_t) {});
+  EXPECT_EQ(roomy.stats().evictions, 0u);
+  EXPECT_EQ(roomy.stats().bytes_evicted, 0u);
+
+  // A budget below the first chunk pins nothing: every chunk is evicted
+  // on every pass.
+  options.ram_budget_bytes = 32 * kRowBytes - 1;
+  ChunkPipeline tight({&mapped, 0, kRowBytes}, options);
+  tight.Run(chunker, [](size_t, size_t, size_t) {});
+  tight.Run(chunker, [](size_t, size_t, size_t) {});
+  EXPECT_EQ(tight.stats().evictions, 2 * chunker.NumChunks());
+  EXPECT_EQ(tight.stats().bytes_evicted, 2 * kRegionBytes);
+}
+
+TEST(ChunkPipelineTest, RetireStageScansSampleComputeDurationAtRetire) {
+  ChunkPipeline pipeline;  // unbound: the sampling rule needs no mapping
+  la::RowChunker chunker(40, 10);
+  pipeline.Run(
+      chunker, ChunkSchedule::Sequential(chunker.NumChunks()),
+      [](size_t, size_t, size_t, size_t) {},
+      [](size_t, size_t, size_t, size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      },
+      RaceStage::kRetire);
+  // The retire stage touches the pages of a retire-compute scan, so it is
+  // the stage whose per-chunk time the compute percentiles describe.
+  const PipelineStats stats = pipeline.stats();
+  EXPECT_EQ(stats.compute_duration.count(), chunker.NumChunks());
+  EXPECT_GE(stats.compute_duration.Percentile(50), 0.5e-3);
 }
 
 TEST_F(BoundPipelineTest, PassesAccumulateInPipelineStats) {
