@@ -86,7 +86,6 @@ int Run(int argc, char** argv) {
   int64_t instances = 4;
   int64_t iterations = 5;
   int64_t readahead = 4;
-  int64_t workers = 0;
   std::string dir = "/tmp";
   bool csv = false;
   std::string trace;
@@ -100,7 +99,6 @@ int Run(int argc, char** argv) {
   flags.AddInt64("instances", &instances, "simulated instances");
   flags.AddInt64("iterations", &iterations, "L-BFGS iterations (jobs)");
   flags.AddInt64("readahead", &readahead, "pipeline readahead chunks");
-  flags.AddInt64("workers", &workers, "pipeline workers per partition");
   flags.AddString("dir", &dir, "scratch directory");
   flags.AddBool("csv", &csv, "emit CSV");
   flags.AddString("trace", &trace,
@@ -111,8 +109,13 @@ int Run(int argc, char** argv) {
   if (flags.help_requested()) {
     return 0;
   }
-  if (!ValidateBenchFlags(flags, argv[0], {{"size_mb", size_mb}, {"budget_percent", budget_percent}, {"instances", instances}, {"iterations", iterations}, {"readahead", readahead}},
-                          {{"workers", workers}}, &trace)) {
+  if (!ValidateBenchFlags(flags, argv[0],
+                          {{"size_mb", size_mb},
+                           {"budget_percent", budget_percent},
+                           {"instances", instances},
+                           {"iterations", iterations},
+                           {"readahead", readahead}},
+                          {}, &trace)) {
     return 1;
   }
 
@@ -143,7 +146,6 @@ int Run(int argc, char** argv) {
                               static_cast<uint64_t>(instances);
   config.exec.use_pipelines = true;
   config.exec.readahead_chunks = static_cast<size_t>(readahead);
-  config.exec.pipeline_workers = static_cast<size_t>(workers);
   config.exec.trace_path = trace;
   const size_t total_partitions = config.TotalPartitions();
   config.exec.chunk_rows =
@@ -303,13 +305,11 @@ int Run(int argc, char** argv) {
       refaulting ? "re-faulting observed" : "NO RE-FAULTING",
       measured.seconds, baseline.seconds);
   M3_IGNORE_STATUS(io::RemoveFile(path), "best-effort scratch cleanup");
-  // hits >> stalls gates the exit at every worker count. These partition
-  // scans compute inside `map` (MapReduceChunks), so the kMap race —
-  // sampled when a worker actually starts the map, with the warm-up
-  // window widened to the in-flight dispatch burst — judges exactly the
-  // stage that touches the pages; the old workers>=2 exemption covered
-  // retire-compute scans, which now classify at retire (RaceStage) and
-  // do not occur on this path.
+  // hits >> stalls gates the exit at any instance core count. These
+  // partition scans compute inside `map` (MapReduceChunks), so the kMap
+  // race — sampled when a worker actually starts the map, with the
+  // warm-up window widened to the in-flight dispatch burst — judges
+  // exactly the stage that touches the pages.
   return identical && refaulting && hits_dominate && residuals_ok &&
                  json.ok()
              ? 0

@@ -50,7 +50,6 @@ int Run(int argc, char** argv) {
   int64_t fleet = 2;
   int64_t iterations = 3;
   int64_t readahead = 4;
-  int64_t workers = 0;
   double deadline_seconds = 120;
   std::string dir = "/tmp";
   std::string worker_trace_dir;
@@ -65,7 +64,6 @@ int Run(int argc, char** argv) {
   flags.AddInt64("fleet", &fleet, "fleet size (worker processes)");
   flags.AddInt64("iterations", &iterations, "L-BFGS iterations (jobs)");
   flags.AddInt64("readahead", &readahead, "pipeline readahead chunks");
-  flags.AddInt64("workers", &workers, "pipeline workers per partition");
   flags.AddDouble("deadline_seconds", &deadline_seconds,
                   "fleet per-phase deadline");
   flags.AddString("dir", &dir, "scratch directory");
@@ -86,7 +84,7 @@ int Run(int argc, char** argv) {
                            {"fleet", fleet},
                            {"iterations", iterations},
                            {"readahead", readahead}},
-                          {{"workers", workers}}, &trace)) {
+                          {}, &trace)) {
     return 1;
   }
   if (deadline_seconds <= 0) {
@@ -115,7 +113,6 @@ int Run(int argc, char** argv) {
                               static_cast<uint64_t>(fleet);
   config.exec.use_pipelines = true;
   config.exec.readahead_chunks = static_cast<size_t>(readahead);
-  config.exec.pipeline_workers = static_cast<size_t>(workers);
   const size_t total_partitions = config.TotalPartitions();
   config.exec.chunk_rows =
       std::max<uint64_t>(1, dataset.rows() / (total_partitions * 8));

@@ -19,10 +19,14 @@ namespace m3::cluster {
 /// (when one is provided): cached partitions scan with MADV_WILLNEED
 /// readahead and eviction at retire under the instance's RAM budget, and
 /// spilled partitions are force-evicted before every job so each use
-/// re-faults from storage — the measured analogue of Spark re-reading
-/// spilled RDD blocks. Results are bitwise identical with pipelines off,
-/// on, and at any `pipeline_workers` count: chunk partials always merge on
-/// the driving thread in the same schedule order.
+/// re-faults (from storage when no other mapping holds the pages) — the
+/// measured analogue of Spark re-reading spilled RDD blocks. Each instance
+/// runs up to `ClusterConfig::cores_per_instance` chunk tasks at once; LR
+/// tasks still split each chunk over the process's util::GlobalThreadPool.
+/// Results are bitwise identical with pipelines off, on, and at any
+/// instance core count while `ClusterConfig::TotalPartitions()` stays
+/// fixed: chunk partials always merge on the driving thread in the same
+/// schedule order.
 struct ClusterExecOptions {
   ClusterExecOptions() {}  // NOLINT: allows `= ClusterExecOptions()` defaults
 
@@ -33,9 +37,6 @@ struct ClusterExecOptions {
   /// MADV_WILLNEED readahead chunks each partition pipeline keeps ahead of
   /// compute. 0 disables the prefetch stage.
   size_t readahead_chunks = 2;
-
-  /// Compute-stage fan-out per partition pipeline (0 or 1 = serial).
-  size_t pipeline_workers = 0;
 
   /// Rows per pipeline chunk inside a partition (0 = the whole partition
   /// as a single chunk). Both the pipelined and the non-pipelined path use
@@ -88,7 +89,9 @@ struct ClusterConfig {
   ClusterConfig() {}  // NOLINT: allows `= ClusterConfig()` default args
 
   size_t num_instances = 4;
-  size_t cores_per_instance = 8;  ///< m3.2xlarge: 8 vCPUs
+  /// m3.2xlarge: 8 vCPUs. Also the chunk tasks an instance runs at once
+  /// when `exec.use_pipelines` is on.
+  size_t cores_per_instance = 8;
 
   /// RAM per instance (m3.2xlarge: 30 GB).
   uint64_t instance_ram_bytes = 30ull << 30;

@@ -35,9 +35,9 @@ PartitionExecutor::PartitionExecutor(std::vector<Partition> partitions,
       prefetch_backend_ =
           io::MakePrefetchBackend(config_.exec.prefetch_backend);
     }
-    if (config_.exec.pipeline_workers >= 2) {
+    if (config_.cores_per_instance >= 2) {
       compute_pool_ =
-          std::make_unique<util::ThreadPool>(config_.exec.pipeline_workers);
+          std::make_unique<util::ThreadPool>(config_.cores_per_instance);
     }
   }
 }
@@ -94,7 +94,7 @@ exec::ChunkPipeline* PartitionExecutor::PreparePartition(size_t index,
     }
     exec::PipelineOptions options;
     options.readahead_chunks = config_.exec.readahead_chunks;
-    options.num_workers = config_.exec.pipeline_workers;
+    options.num_workers = config_.cores_per_instance;
     options.shared_io_pool = io_pool_.get();
     options.shared_compute_pool = compute_pool_.get();
     options.shared_prefetch_backend = prefetch_backend_.get();
@@ -107,7 +107,8 @@ exec::ChunkPipeline* PartitionExecutor::PreparePartition(size_t index,
   }
   if (bound() && !partition.cached) {
     // Spark does not admit spilled blocks to the RDD cache: drop the
-    // partition's pages so this job's pass re-faults from storage. The
+    // partition's pages so this job's pass re-faults them (from storage,
+    // unless another mapping still holds them). The
     // range is clamped *inward* to page boundaries — partitions are
     // row-aligned, not page-aligned, and an outward-rounding DONTNEED
     // would also drop the neighboring cached partition's edge page every
@@ -151,8 +152,11 @@ double PredictExecSeconds(const std::vector<Partition>& partitions,
       storage_bytes += bytes;
     }
   }
-  const double cpu =
-      config.local_cpu_seconds_per_byte * static_cast<double>(total_bytes);
+  // An instance runs cores_per_instance chunk tasks at once, as StageCost
+  // charges.
+  const double cpu = config.local_cpu_seconds_per_byte *
+                     static_cast<double>(total_bytes) /
+                     static_cast<double>(config.cores_per_instance);
   const double io =
       static_cast<double>(storage_bytes) / config.spill_read_bytes_per_sec;
   return CombineOverlap(cpu, io, config.overlap_efficiency);

@@ -35,15 +35,24 @@ namespace m3::cluster {
 ///   - cached partitions get a pro-rata share of the instance's RAM budget;
 ///     a share that covers the partition pins every chunk, so later jobs
 ///     find its pages resident (prefetch hits);
-///   - spilled partitions are force-evicted before every pass, so every
-///     job re-faults them from storage (Spark's per-iteration spill
-///     re-read, measured instead of only modeled).
+///   - spilled partitions are force-evicted before every pass (Spark's
+///     per-iteration spill re-read, measured instead of only modeled).
+///     Their pages re-fault from storage only when no other mapping holds
+///     them: `Evict` cannot drop page-cache pages that another process
+///     (a fleet coordinator that touched the file, say) still maps.
 ///
-/// Determinism: the chunk kernel runs once per chunk (possibly on
-/// pipeline workers, in any order); partials are consumed on the calling
-/// thread in ascending chunk order within each partition, partitions in
-/// the fixed strided task order. The fold sequence is therefore identical
-/// with pipelines off, on, and at any worker count.
+/// Fan-out: each instance runs up to `ClusterConfig::cores_per_instance`
+/// chunk tasks at once, on one pool of that many threads that every
+/// partition pipeline shares. LR chunk tasks still split each chunk over
+/// the process's util::GlobalThreadPool.
+///
+/// Determinism: the chunk kernel runs once per chunk, in any order;
+/// partials are consumed on the calling thread in ascending chunk order
+/// within each partition, partitions in the fixed strided task order, and
+/// a fleet worker's chunks each write their own result slot. The fold
+/// sequence is therefore identical with pipelines off, on, and at any
+/// instance core count while `ClusterConfig::TotalPartitions()` stays
+/// fixed.
 class PartitionExecutor final : public JobExecutor {
  public:
   /// `x`/`y` are the rows the chunk kernels read. `data.mapping ==
@@ -123,7 +132,8 @@ class PartitionExecutor final : public JobExecutor {
   std::vector<size_t> instance_cached_rows_;
   /// Pools shared by every partition pipeline: a job drives one partition
   /// at a time, so per-partition pools would only multiply idle threads
-  /// (partitions x workers of them) without adding parallelism.
+  /// (partitions x cores of them) without adding parallelism. No compute
+  /// pool when `cores_per_instance` is 1.
   std::unique_ptr<util::ThreadPool> io_pool_;
   std::unique_ptr<util::ThreadPool> compute_pool_;
   /// One prefetch backend shared by every partition pipeline, for the same
@@ -135,8 +145,9 @@ class PartitionExecutor final : public JobExecutor {
 /// \brief The calibrated model's prediction of one job's pipeline
 /// execution wall seconds on THIS machine (the counterpart of
 /// JobStats::measured_exec_seconds): fitted local CPU cost over every
-/// partition's bytes, fitted re-read bandwidth over the bytes that come
-/// from storage (all of them when `cold`, the spilled partitions
+/// partition's bytes, spread over the `cores_per_instance` chunk tasks an
+/// instance runs at once, fitted re-read bandwidth over the bytes that
+/// come from storage (all of them when `cold`, the spilled partitions
 /// otherwise), combined under the fitted overlap efficiency. Returns 0
 /// unless `config` turns pipelines on and carries a measured calibration
 /// (ClusterConfig::CalibrateFromMeasured).

@@ -57,7 +57,8 @@ struct FleetOptions {
 /// PartitionExecutor (the fast tier-1 path), ProcessFleet is itself the
 /// JobExecutor: it forks one worker per instance. Each worker mmaps the
 /// dataset itself and drives its instance's partitions through its own
-/// per-partition `exec::ChunkPipeline`s (PartitionExecutor::RunLane) — so
+/// per-partition `exec::ChunkPipeline`s (PartitionExecutor::RunLane),
+/// running up to `config.cores_per_instance` chunk tasks at once — so
 /// the workers genuinely compete for the machine's page cache, which is
 /// the contention the M3 paper's memory-mapping argument is about.
 /// Coordination runs over an `io::ShmChannel` (fork-shared control block

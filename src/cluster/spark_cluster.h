@@ -56,9 +56,10 @@ namespace m3::cluster {
 /// Passing a bound `exec::MappedRegion` (e.g. built from a MappedDataset)
 /// makes the measured path page real memory; with in-memory matrices the
 /// pipelines only orchestrate compute. Either way results are bitwise
-/// identical with pipelines off, on, and at any worker count — partials
-/// merge on the driving thread in a fixed strided task order (stride =
-/// instance count, offset = instance id).
+/// identical with pipelines off, on, and at any `cores_per_instance`
+/// (the chunk tasks an instance runs at once) while TotalPartitions()
+/// stays fixed — partials merge on the driving thread in a fixed strided
+/// task order (stride = instance count, offset = instance id).
 class SparkCluster {
  public:
   explicit SparkCluster(ClusterConfig config);

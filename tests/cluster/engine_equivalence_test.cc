@@ -1,12 +1,13 @@
 // Engine-equivalence suite: the simulated cluster must produce *bitwise*
 // identical numerical results whether its partition tasks run through the
 // inline serial loop (pipelines off — the reference semantics) or through
-// real per-partition ChunkPipelines at any worker count. Chunk partials
-// always fold on the driving thread in the same strided task order, so the
-// floating-point merge sequence never changes; these tests pin that
-// guarantee for distributed LR and k-means, in memory and mmap-backed, and
-// check the measured spill/refault accounting that only the pipelined path
-// produces.
+// real per-partition ChunkPipelines that run `cores_per_instance` chunk
+// tasks at once, at any core count that keeps TotalPartitions() fixed.
+// Chunk partials always fold on the driving thread in the same strided
+// task order, so the floating-point merge sequence never changes; these
+// tests pin that guarantee for distributed LR and k-means, in memory and
+// mmap-backed, and check the measured spill/refault accounting that only
+// the pipelined path produces.
 
 #include "cluster/spark_cluster.h"
 
@@ -37,11 +38,15 @@ ClusterConfig SmallCluster(size_t instances) {
   return config;
 }
 
-ClusterConfig PipelinedConfig(size_t instances, size_t workers,
+// `cores` chunk tasks per instance at once; partitions_per_core keeps
+// cores x partitions_per_core = 8, so every core count plans the
+// reference's partitions (SmallCluster: 4 cores x 2).
+ClusterConfig PipelinedConfig(size_t instances, size_t cores,
                               uint64_t chunk_rows = 64) {
   ClusterConfig config = SmallCluster(instances);
+  config.cores_per_instance = cores;
+  config.partitions_per_core = 8 / cores;
   config.exec.use_pipelines = true;
-  config.exec.pipeline_workers = workers;
   config.exec.chunk_rows = chunk_rows;
   return config;
 }
@@ -60,7 +65,7 @@ ml::LbfgsOptions FixedLbfgs() {
 }
 
 // ---------------------------------------------------------------------------
-// In-memory equivalence at pipeline_workers {0, 2, 4}
+// In-memory equivalence at cores_per_instance {1, 2, 4}
 // ---------------------------------------------------------------------------
 
 TEST(EngineEquivalenceTest, LrBitwiseIdenticalAcrossEngineConfigs) {
@@ -76,18 +81,18 @@ TEST(EngineEquivalenceTest, LrBitwiseIdenticalAcrossEngineConfigs) {
           .ValueOrDie();
   EXPECT_TRUE(baseline.stats.instance_exec.empty());  // measured path off
 
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-    SparkCluster pipelined(PipelinedConfig(4, workers));
+  for (const size_t cores : {size_t{1}, size_t{2}, size_t{4}}) {
+    SparkCluster pipelined(PipelinedConfig(4, cores));
     auto result = pipelined
                       .RunLogisticRegression(sep.data.features, y, 1e-4,
                                              FixedLbfgs())
                       .ValueOrDie();
     EXPECT_TRUE(BitwiseEqual(baseline.model.weights, result.model.weights))
-        << "workers=" << workers;
+        << "cores=" << cores;
     EXPECT_EQ(std::memcmp(&baseline.model.intercept, &result.model.intercept,
                           sizeof(double)),
               0)
-        << "workers=" << workers;
+        << "cores=" << cores;
     EXPECT_EQ(baseline.optimization.iterations,
               result.optimization.iterations);
     // The pipelined run measured something (even unbound, compute passes
@@ -119,8 +124,8 @@ TEST(EngineEquivalenceTest, KMeansBitwiseIdenticalAcrossEngineConfigs) {
                       .RunKMeans(blobs.data.features, options)
                       .ValueOrDie();
 
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-    auto result = SparkCluster(PipelinedConfig(4, workers))
+  for (const size_t cores : {size_t{1}, size_t{2}, size_t{4}}) {
+    auto result = SparkCluster(PipelinedConfig(4, cores))
                       .RunKMeans(blobs.data.features, options)
                       .ValueOrDie();
     ASSERT_EQ(result.clustering.centers.rows(), 5u);
@@ -128,7 +133,7 @@ TEST(EngineEquivalenceTest, KMeansBitwiseIdenticalAcrossEngineConfigs) {
                           result.clustering.centers.data(),
                           5 * 6 * sizeof(double)),
               0)
-        << "workers=" << workers;
+        << "cores=" << cores;
     EXPECT_EQ(baseline.clustering.inertia, result.clustering.inertia);
     EXPECT_EQ(baseline.clustering.iterations, result.clustering.iterations);
   }
@@ -201,14 +206,14 @@ TEST_F(MappedClusterTest, MmapBackedLrBitwiseMatchesInlineReference) {
                                              FixedLbfgs())
                       .ValueOrDie();
 
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-    ClusterConfig config = PipelinedConfig(4, workers, 50);
+  for (const size_t cores : {size_t{1}, size_t{2}, size_t{4}}) {
+    ClusterConfig config = PipelinedConfig(4, cores, 50);
     auto result = SparkCluster(config)
                       .RunLogisticRegression(dataset.features(), y, 1e-4,
                                              FixedLbfgs(), RegionOf(dataset))
                       .ValueOrDie();
     EXPECT_TRUE(BitwiseEqual(baseline.model.weights, result.model.weights))
-        << "workers=" << workers;
+        << "cores=" << cores;
   }
 }
 
@@ -220,7 +225,7 @@ TEST_F(MappedClusterTest, SpilledPartitionsRefaultEveryJobWhileCachedStay) {
 
   // Size the simulated cache at ~40% of the dataset so a fixed subset of
   // partitions spills.
-  ClusterConfig config = PipelinedConfig(2, 0, 50);
+  ClusterConfig config = PipelinedConfig(2, 1, 50);
   config.cache_fraction = 1.0;
   config.instance_ram_bytes = dataset.feature_bytes() * 2 / 10;  // x2 = 40%
   SparkCluster cluster(config);
@@ -285,7 +290,7 @@ TEST_F(MappedClusterTest, TaskOrderIsStridedByInstance) {
   // The strided interleaving visits instance 0's partitions first, then
   // instance 1's, ... — each instance scanning its own shard (stride =
   // instance count, offset = instance id via round-robin assignment).
-  ClusterConfig config = PipelinedConfig(3, 0, 0);
+  ClusterConfig config = PipelinedConfig(3, 1, 0);
   SparkCluster cluster(config);
   const std::vector<Partition> partitions =
       cluster.PlanPartitions(1200, 16 * sizeof(double));
@@ -306,7 +311,7 @@ TEST_F(MappedClusterTest, RejectsMismatchedRegion) {
   const la::ConstVectorView y(labels.data(), labels.size());
   exec::MappedRegion bogus = RegionOf(dataset);
   bogus.row_bytes = 8;  // not cols * sizeof(double)
-  auto result = SparkCluster(PipelinedConfig(2, 0))
+  auto result = SparkCluster(PipelinedConfig(2, 1))
                     .RunLogisticRegression(dataset.features(), y, 0.0,
                                            FixedLbfgs(), bogus);
   EXPECT_FALSE(result.ok());

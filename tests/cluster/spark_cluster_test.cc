@@ -1,11 +1,21 @@
 #include "cluster/spark_cluster.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "cluster/partition_executor.h"
+#include "core/mapped_dataset.h"
+#include "data/dataset.h"
 #include "data/synthetic.h"
+#include "io/file.h"
 #include "la/blas.h"
 #include "ml/metrics.h"
 
@@ -329,6 +339,170 @@ TEST(SparkClusterTest, RejectsInvalidInputs) {
   la::Vector y(10);
   EXPECT_FALSE(
       SparkCluster(broken).RunLogisticRegression(x, y, 0.0, lbfgs).ok());
+}
+
+TEST(PredictExecSecondsTest, InstanceCoresDivideTheCpuTerm) {
+  // A CPU-bound calibrated config: every partition cached and the job warm,
+  // so no byte comes from storage and the prediction is the CPU term alone.
+  const std::vector<Partition> partitions = MakePartitions(1000, 8, 2, 1000);
+  ClusterConfig config = SmallCluster(2);
+  config.exec.use_pipelines = true;
+  config.calibrated_from_measurement = true;
+  config.overlap_efficiency = 0.5;
+  config.cores_per_instance = 1;
+  const double one_core =
+      PredictExecSeconds(partitions, config, /*row_bytes=*/80, /*cold=*/false);
+  EXPECT_DOUBLE_EQ(one_core, 1e-9 * 1000 * 80);
+  config.cores_per_instance = 2;
+  EXPECT_DOUBLE_EQ(
+      PredictExecSeconds(partitions, config, /*row_bytes=*/80, /*cold=*/false),
+      one_core / 2);
+}
+
+// ---------------------------------------------------------------------------
+// The pooled executor: each instance runs cores_per_instance chunk tasks at
+// once. Fork-free, so the sanitizer legs run it.
+// ---------------------------------------------------------------------------
+
+class PooledExecutorTest : public ::testing::Test {
+ protected:
+  // 2 instances x 8 partitions per instance x 100 rows, in 10-row chunks.
+  static constexpr size_t kRows = 1600;
+  static constexpr size_t kPartitions = 16;
+  static constexpr uint64_t kChunkRows = 10;
+
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/m3_pooled_executor_" +
+           std::to_string(::getpid());
+    ASSERT_TRUE(io::MakeDirs(dir_).ok());
+    data::SeparableResult sep = data::LinearlySeparable(kRows, 8, 0.05, 17);
+    path_ = dir_ + "/pooled.m3";
+    ASSERT_TRUE(data::WriteDataset(path_, sep.data.features, sep.data.labels,
+                                   2)
+                    .ok());
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// `cores` chunk tasks per instance; cores x partitions_per_core = 8
+  /// keeps TotalPartitions() at kPartitions. Half the features are cached,
+  /// so both cache classes run.
+  static ClusterConfig Config(size_t cores, uint64_t feature_bytes,
+                              bool pipelines) {
+    ClusterConfig config = SmallCluster(2);
+    config.cores_per_instance = cores;
+    config.partitions_per_core = 8 / cores;
+    config.cache_fraction = 1.0;
+    config.instance_ram_bytes = feature_bytes / 4;
+    config.exec.use_pipelines = pipelines;
+    config.exec.chunk_rows = kChunkRows;
+    return config;
+  }
+
+  static exec::MappedRegion RegionOf(const MappedDataset& dataset) {
+    exec::MappedRegion region;
+    region.mapping = &dataset.mapping();
+    region.base_offset = dataset.meta().features_offset;
+    region.row_bytes = dataset.cols() * sizeof(double);
+    return region;
+  }
+
+  /// At RaceStage::kMap a bound pass leaves its warm-up positions
+  /// unclassified: min(chunks, max(readahead, 2 x fan-out)) of them, the
+  /// fan-out being the instance's cores.
+  static void ExpectWarmupPerPass(const JobStats& stats,
+                                  const ClusterConfig& config) {
+    const uint64_t chunks = kRows / kPartitions / kChunkRows;
+    const uint64_t warmup = std::min<uint64_t>(
+        chunks, std::max<uint64_t>(config.exec.readahead_chunks,
+                                   2 * config.cores_per_instance));
+    ASSERT_EQ(stats.instance_exec.size(), 2u);
+    uint64_t passes = 0;
+    uint64_t unclassified = 0;
+    for (const InstanceExecStats& instance : stats.instance_exec) {
+      passes += instance.cached.passes + instance.spilled.passes;
+      unclassified += instance.cached.prefetch_unclassified +
+                      instance.spilled.prefetch_unclassified;
+    }
+    EXPECT_EQ(passes, stats.jobs * kPartitions);
+    EXPECT_EQ(unclassified, passes * warmup)
+        << "cores=" << config.cores_per_instance;
+  }
+
+  std::string dir_;
+  std::string path_;
+};
+
+TEST_F(PooledExecutorTest, LrBitwiseMatchesInlineAtEveryCoreCount) {
+  auto dataset = MappedDataset::Open(path_).ValueOrDie();
+  const std::vector<double> labels = dataset.CopyLabels();
+  const la::ConstVectorView y(labels.data(), labels.size());
+  ml::LbfgsOptions lbfgs;
+  lbfgs.max_iterations = 6;
+  lbfgs.gradient_tolerance = 0;
+  lbfgs.objective_tolerance = 0;
+  auto reference =
+      SparkCluster(Config(4, dataset.feature_bytes(), /*pipelines=*/false))
+          .RunLogisticRegression(dataset.features(), y, 1e-4, lbfgs)
+          .ValueOrDie();
+
+  for (const size_t cores : {size_t{1}, size_t{2}, size_t{4}}) {
+    const ClusterConfig config =
+        Config(cores, dataset.feature_bytes(), /*pipelines=*/true);
+    SparkCluster cluster(config);
+    ASSERT_EQ(cluster.PlanPartitions(kRows, 8 * sizeof(double)).size(),
+              kPartitions);
+    auto result = cluster
+                      .RunLogisticRegression(dataset.features(), y, 1e-4,
+                                             lbfgs, RegionOf(dataset))
+                      .ValueOrDie();
+    ASSERT_EQ(result.model.weights.size(), reference.model.weights.size());
+    EXPECT_EQ(std::memcmp(result.model.weights.data(),
+                          reference.model.weights.data(),
+                          reference.model.weights.size() * sizeof(double)),
+              0)
+        << "cores=" << cores;
+    EXPECT_EQ(std::memcmp(&result.model.intercept,
+                          &reference.model.intercept, sizeof(double)),
+              0)
+        << "cores=" << cores;
+    ExpectWarmupPerPass(result.stats, config);
+  }
+}
+
+TEST_F(PooledExecutorTest, KMeansBitwiseMatchesInlineAtEveryCoreCount) {
+  auto dataset = MappedDataset::Open(path_).ValueOrDie();
+  la::Matrix init(4, 8);
+  for (size_t c = 0; c < 4; ++c) {
+    la::Copy(dataset.features().Row(c * 400), init.Row(c));
+  }
+  ml::KMeansOptions options;
+  options.k = 4;
+  options.max_iterations = 5;
+  options.tolerance = 0;
+  options.initial_centers = &init;
+  auto reference =
+      SparkCluster(Config(4, dataset.feature_bytes(), /*pipelines=*/false))
+          .RunKMeans(dataset.features(), options)
+          .ValueOrDie();
+
+  for (const size_t cores : {size_t{1}, size_t{2}, size_t{4}}) {
+    const ClusterConfig config =
+        Config(cores, dataset.feature_bytes(), /*pipelines=*/true);
+    auto result = SparkCluster(config)
+                      .RunKMeans(dataset.features(), options,
+                                 RegionOf(dataset))
+                      .ValueOrDie();
+    EXPECT_EQ(std::memcmp(result.clustering.centers.data(),
+                          reference.clustering.centers.data(),
+                          4 * 8 * sizeof(double)),
+              0)
+        << "cores=" << cores;
+    EXPECT_EQ(std::memcmp(&result.clustering.inertia,
+                          &reference.clustering.inertia, sizeof(double)),
+              0)
+        << "cores=" << cores;
+    ExpectWarmupPerPass(result.stats, config);
+  }
 }
 
 TEST(JobStatsTest, AccumulateMergesMeasuredInstanceStats) {
