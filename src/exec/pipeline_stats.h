@@ -46,8 +46,14 @@ struct PipelineStats {
   /// readahead enabled, every prefetched chunk is accounted exactly once:
   ///   prefetches == prefetch_hits + stalls + prefetch_unclassified.
   uint64_t prefetch_unclassified = 0;
-  uint64_t evictions = 0;       ///< Evict (DONTNEED) ranges issued
-  uint64_t bytes_evicted = 0;   ///< bytes covered by issued evictions
+  /// Evict (DONTNEED) ranges requested at retire whose calls returned OK.
+  /// OK is not a drop: fadvise(DONTNEED) leaves page-cache folios that
+  /// straddle the range's edges and pages another mapping holds. So this
+  /// and `bytes_evicted` count requests, not dropped pages; the storage
+  /// reads a run really made show in the system-wide `pgpgin` delta of
+  /// /proc/vmstat across it.
+  uint64_t evictions = 0;
+  uint64_t bytes_evicted = 0;   ///< bytes covered by those requests
   /// \name Prefetch-backend counters (io::PrefetchBackend).
   /// One pipeline-level prefetch fans out into >= 1 backend submits (one
   /// madvise range, one pread block); completions count requests the

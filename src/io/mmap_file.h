@@ -109,7 +109,9 @@ class MemoryMappedFile {
   /// Drops a range from this mapping *and* from the backing file's page
   /// cache, so the next access re-reads from storage. This is how a RAM
   /// budget (exec::PipelineOptions) forces out-of-core behaviour at laptop
-  /// scale.
+  /// scale. OK means the kernel accepted both requests, not that every
+  /// page went: page-cache folios straddling the range's edges and pages
+  /// another mapping holds stay cached.
   util::Status Evict(uint64_t offset, uint64_t length) const;
 
   /// Touches every page so it is resident (sequential read fault).

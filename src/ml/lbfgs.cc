@@ -19,9 +19,10 @@ namespace {
 ///
 /// The opening probe of a line is a pass. Once it fails, a data-backed
 /// objective that can restrict itself to the line (ChunkedObjective::
-/// PrepareLine) spends one pass storing what the later probes need, which
-/// counts as one evaluation, and answers every later probe of the line
-/// without a pass.
+/// PrepareLine) answers every later probe of the line without a pass. What
+/// those probes need is stored by one more pass, which counts as one
+/// evaluation, unless the opening probe went through EvaluateOpeningProbe
+/// (`hold_line`), whose pass stored it already.
 struct LineProbe {
   DifferentiableFunction* function;
   ChunkedObjective* chunked;  // `function` if it is data-backed, else null
@@ -30,6 +31,7 @@ struct LineProbe {
   la::VectorView w_trial;    // scratch: w0 + alpha d
   la::VectorView grad_trial; // scratch: gradient at w_trial
   size_t* evaluations;
+  bool hold_line;            // open with chunked->EvaluateOpeningProbe
   size_t probes = 0;         // probes of this line so far
   bool on_line = false;      // later probes go to chunked->EvalLine
   double last_alpha = 0;  // step of the latest pass probe; w_trial is at it
@@ -37,10 +39,12 @@ struct LineProbe {
 
   double Eval(double alpha, double* derivative) {
     ++probes;
-    if (probes == 2 && chunked != nullptr &&
-        chunked->PrepareLine(w0, direction)) {
-      ++*evaluations;  // the margin pass
-      on_line = true;
+    if (probes == 2 && chunked != nullptr) {
+      const size_t passes = chunked->passes();
+      if (chunked->PrepareLine(w0, direction)) {
+        *evaluations += chunked->passes() - passes;  // the margin pass, if any
+        on_line = true;
+      }
     }
     if (on_line) {
       return chunked->EvalLine(alpha, derivative);
@@ -48,7 +52,10 @@ struct LineProbe {
     la::Copy(w0, w_trial);
     la::Axpy(alpha, direction, w_trial);
     const double value =
-        function->EvaluateWithGradient(w_trial, grad_trial);
+        probes == 1 && hold_line
+            ? chunked->EvaluateOpeningProbe(w0, direction, w_trial,
+                                            grad_trial)
+            : function->EvaluateWithGradient(w_trial, grad_trial);
     ++*evaluations;
     last_alpha = alpha;
     last_value = value;
@@ -194,17 +201,22 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
     const double df0 = la::Dot(grad, direction);
     la::Copy(w, w_prev);
     la::Copy(grad, grad_prev);
-    LineProbe probe{function, chunked,    w_prev, direction,
-                    w_trial,  grad_trial, &result.function_evaluations};
     // After the first update the two-loop recursion scales the direction
     // properly, so a unit step is the right opening probe. On the very
     // first iteration the direction is the raw (unscaled) negative
     // gradient, whose magnitude is arbitrary — open with ~unit-length
     // movement instead (Nocedal & Wright §6.1; mlpack does the same).
+    // That probe usually fails and the line bisects, so its pass also
+    // stores the line for the later probes: a bet of two row dots a row
+    // in one pass against a whole margin pass.
+    const bool unscaled = s_history.empty();
     const double initial_alpha =
-        s_history.empty()
-            ? 1.0 / std::max(1.0, la::Nrm2(direction))
-            : 1.0;
+        unscaled ? 1.0 / std::max(1.0, la::Nrm2(direction)) : 1.0;
+    LineProbe probe{function,   chunked,
+                    w_prev,     direction,
+                    w_trial,    grad_trial,
+                    &result.function_evaluations,
+                    /*hold_line=*/unscaled && chunked != nullptr};
     const double step =
         WolfeLineSearch(&probe, f, df0, options_.armijo, options_.wolfe,
                         options_.max_line_search_steps, initial_alpha);

@@ -17,8 +17,9 @@ struct OptimizationResult {
   size_t iterations = 0;             ///< outer iterations performed
   /// Objective evaluations: one data pass each for a ChunkedObjective,
   /// one job each for the cluster driver. A line search's margin pass
-  /// (ChunkedObjective::PrepareLine) counts as one; the probes it answers
-  /// count as none.
+  /// (ChunkedObjective::PrepareLine) counts as one when it happens; it
+  /// does not on a line whose opening probe stored the margins. The probes
+  /// the margins answer count as none.
   size_t function_evaluations = 0;
   /// Sequential data passes the objective actually performed (from
   /// ChunkedObjective::passes(); equals function_evaluations for chunked
@@ -53,13 +54,19 @@ struct LbfgsOptions {
 /// iterations of L-BFGS"). Every evaluation streams the file once, which is
 /// why L-BFGS on a memory-mapped out-of-core dataset is I/O-bound. A line
 /// search's opening probe is a full pass. If it fails and the objective
-/// can restrict itself to the line (ChunkedObjective::PrepareLine), one
-/// more pass stores what the line's later probes need and they cost no
-/// pass; otherwise each probe is a pass. The accepted step's value and
-/// gradient are kept when it is the latest pass probe, and evaluated with
-/// a pass otherwise. So an iteration whose opening probe is accepted costs
-/// one pass, and one whose opening probe fails costs three on the logistic
-/// loss; the trained bits are those of a pass per probe.
+/// can restrict itself to the line (ChunkedObjective::PrepareLine), the
+/// line's later probes cost no pass; otherwise each probe is a pass. What
+/// those probes need is stored by one more pass, except on a line opened
+/// with the 1/||d|| step (no curvature pair yet, so the raw gradient's
+/// line, which usually bisects): its opening probe goes through
+/// ChunkedObjective::EvaluateOpeningProbe, whose pass stores it too. The
+/// accepted step's value and gradient are kept when it is the latest pass
+/// probe, and evaluated with a pass otherwise. So on the logistic loss an
+/// iteration whose opening probe is accepted costs one pass, and one whose
+/// opening probe fails costs two on the first line and three on a later
+/// one; the trained bits are those of a pass per probe. A dense
+/// paper-config call costs 12 passes: 1 initial, 2 for the first line and
+/// 1 for each of the other nine.
 class Lbfgs {
  public:
   explicit Lbfgs(LbfgsOptions options = LbfgsOptions());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "la/blas.h"
@@ -119,6 +120,15 @@ Result<la::Vector> FitFromZero(ChunkedObjective* objective,
 /// merge.
 struct NoPartial {};
 
+/// EvalLine's window: the rows whose loss and slope terms it holds at once
+/// (16 bytes each).
+constexpr size_t kLineWindowRows = 32768;
+
+bool SameBits(la::ConstVectorView a, la::ConstVectorView b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 /// LogisticObjective's parameters (weights, then intercept) as a model.
 LogisticRegressionModel ToLogisticModel(const la::Vector& params) {
   const size_t d = params.size() - 1;
@@ -144,10 +154,26 @@ template <typename Rows>
 double LogisticObjective<Rows>::EvaluateChunk(size_t begin, size_t end,
                                               la::ConstVectorView w,
                                               la::VectorView grad) {
+  return ChunkLoss(begin, end, w, grad, /*margins=*/false);
+}
+
+template <typename Rows>
+double LogisticObjective<Rows>::ChunkLoss(size_t begin, size_t end,
+                                          la::ConstVectorView w,
+                                          la::VectorView grad, bool margins) {
   const size_t d = x_.cols();
   const double inv_n = 1.0 / static_cast<double>(std::max<size_t>(1, NumRows()));
   la::ConstVectorView weights = w.Slice(0, d);
   const double intercept = w[d];
+  // The held line, read only with `margins`: the margin pass's operands.
+  la::ConstVectorView w0_weights, d_weights;
+  double b0 = 0, d_b = 0;
+  if (margins) {
+    w0_weights = line_w0_.View().Slice(0, d);
+    d_weights = line_d_.View().Slice(0, d);
+    b0 = line_w0_[d];
+    d_b = line_d_[d];
+  }
 
   // Per-chunk partials merged in chunk order (deterministic FP reduction).
   const auto ranges = util::PartitionRange(
@@ -161,6 +187,10 @@ double LogisticObjective<Rows>::EvaluateChunk(size_t begin, size_t end,
     for (size_t r = lo; r < hi; ++r) {
       const auto xi = x_.Row(r);
       const double z = RowDot(xi, weights) + intercept;
+      if (margins) {
+        z0_[r] = RowDot(xi, w0_weights) + b0;
+        u_[r] = RowDot(xi, d_weights) + d_b;
+      }
       const double yi = y_[r];
       local_loss += Log1pExp(z) - yi * z;
       const double residual = (Sigmoid(z) - yi) * inv_n;
@@ -191,8 +221,8 @@ double LogisticObjective<Rows>::ApplyRegularization(la::ConstVectorView w,
 }
 
 template <typename Rows>
-bool LogisticObjective<Rows>::PrepareLine(la::ConstVectorView w0,
-                                          la::ConstVectorView d) {
+void LogisticObjective<Rows>::HoldLine(la::ConstVectorView w0,
+                                       la::ConstVectorView d) {
   if (line_w0_.size() == 0) {  // the first line that needs the margins
     line_w0_ = la::Vector(Dimension());
     line_d_ = la::Vector(Dimension());
@@ -201,6 +231,30 @@ bool LogisticObjective<Rows>::PrepareLine(la::ConstVectorView w0,
   }
   la::Copy(w0, line_w0_);
   la::Copy(d, line_d_);
+  margins_held_ = false;
+}
+
+template <typename Rows>
+double LogisticObjective<Rows>::EvaluateOpeningProbe(la::ConstVectorView w0,
+                                                     la::ConstVectorView d,
+                                                     la::ConstVectorView w,
+                                                     la::VectorView grad) {
+  HoldLine(w0, d);
+  const double f = GradientPass(
+      w, grad, [&](size_t begin, size_t end, la::VectorView partial) {
+        return ChunkLoss(begin, end, w, partial, /*margins=*/true);
+      });
+  margins_held_ = true;
+  return f;
+}
+
+template <typename Rows>
+bool LogisticObjective<Rows>::PrepareLine(la::ConstVectorView w0,
+                                          la::ConstVectorView d) {
+  if (margins_held_ && SameBits(w0, line_w0_) && SameBits(d, line_d_)) {
+    return true;  // an earlier pass wrote this line's margins
+  }
+  HoldLine(w0, d);
   const size_t cols = x_.cols();
   la::ConstVectorView w0_weights = w0.Slice(0, cols);
   la::ConstVectorView d_weights = d.Slice(0, cols);
@@ -220,20 +274,37 @@ bool LogisticObjective<Rows>::PrepareLine(la::ConstVectorView w0,
         return NoPartial{};
       },
       [](size_t, NoPartial&&) {});
+  margins_held_ = true;
   return true;
 }
 
 template <typename Rows>
 double LogisticObjective<Rows>::EvalLine(double alpha, double* dphi) {
-  M3_CHECK(line_w0_.size() == Dimension(), "EvalLine before PrepareLine");
-  // Rows summed in fixed order on this thread.
+  M3_CHECK(margins_held_, "EvalLine before PrepareLine");
   const size_t n = NumRows();
+  if (line_terms_.size() == 0) {
+    line_terms_ = la::Vector(2 * std::min(n, kLineWindowRows));
+  }
+  // Each row's loss and slope terms are its own, so the pool computes them
+  // a window at a time, and this thread sums them in row order: the bits
+  // of one serial loop over the rows, at any pool size.
   double loss = 0;
   double slope = 0;
-  for (size_t r = 0; r < n; ++r) {
-    const double z = z0_[r] + alpha * u_[r];
-    loss += Log1pExp(z) - y_[r] * z;
-    slope += (Sigmoid(z) - y_[r]) * u_[r];
+  double* terms = line_terms_.data();
+  for (size_t window = 0; window < n; window += kLineWindowRows) {
+    const size_t window_end = std::min(n, window + kLineWindowRows);
+    util::ParallelFor(window, window_end, 512, [&](size_t lo, size_t hi) {
+      for (size_t r = lo; r < hi; ++r) {
+        const double z = z0_[r] + alpha * u_[r];
+        double* row_terms = terms + 2 * (r - window);
+        row_terms[0] = Log1pExp(z) - y_[r] * z;
+        row_terms[1] = (Sigmoid(z) - y_[r]) * u_[r];
+      }
+    });
+    for (size_t i = 0; i < 2 * (window_end - window); i += 2) {
+      loss += terms[i];
+      slope += terms[i + 1];
+    }
   }
   const double inv_n = 1.0 / static_cast<double>(std::max<size_t>(1, n));
   loss *= inv_n;

@@ -45,9 +45,15 @@ namespace m3::ml {
 /// at any worker count and prefetch backend.
 ///
 /// Along a line w0 + alpha * d the loss sees the rows only through their
-/// margins z0_i = x_i . w0 + b0 and u_i = x_i . d + d_b, so PrepareLine's
-/// pass stores those two (16 bytes a row of heap, allocated at the first
-/// line that needs them) and EvalLine costs O(rows) arithmetic.
+/// margins z0_i = x_i . w0 + b0 and u_i = x_i . d + d_b, so a pass stores
+/// those two (16 bytes a row of heap, allocated at the first line that
+/// needs them) and EvalLine costs O(rows) arithmetic. The pass is either
+/// PrepareLine's own or the opening probe's: EvaluateOpeningProbe's row
+/// loop computes both margins beside the probe's own margin, two more row
+/// dots a row, and PrepareLine of that line then performs no pass.
+/// EvalLine computes its rows' terms across the thread pool, a bounded
+/// window of rows at a time, and sums them in row order on the calling
+/// thread.
 template <typename Rows>
 class LogisticObjective final : public ChunkedObjective {
  public:
@@ -82,6 +88,9 @@ class LogisticObjective final : public ChunkedObjective {
   double EvaluateChunk(size_t begin, size_t end, la::ConstVectorView w,
                        la::VectorView grad) override;
 
+  double EvaluateOpeningProbe(la::ConstVectorView w0, la::ConstVectorView d,
+                              la::ConstVectorView w,
+                              la::VectorView grad) override;
   bool PrepareLine(la::ConstVectorView w0, la::ConstVectorView d) override;
   double EvalLine(double alpha, double* dphi) override;
 
@@ -91,15 +100,25 @@ class LogisticObjective final : public ChunkedObjective {
   std::unique_ptr<la::Chunker> MakeChunker() const override;
 
  private:
+  /// EvaluateChunk's row loop; with `margins`, it also writes rows
+  /// [begin, end)'s margins on the held line.
+  double ChunkLoss(size_t begin, size_t end, la::ConstVectorView w,
+                   la::VectorView grad, bool margins);
+  /// Makes (w0, d) the held line, its margins not yet written.
+  void HoldLine(la::ConstVectorView w0, la::ConstVectorView d);
+
   Rows x_;
   la::ConstVectorView y_;
   double l2_;
   size_t chunk_rows_;
   uint64_t chunk_nnz_bytes_ = 0;
-  // The prepared line (origin and direction) and its per-row margins at
-  // w0 (z0) and along d (u).
+  // The held line (origin and direction), its per-row margins at w0 (z0)
+  // and along d (u), and whether the margins are written.
   la::Vector line_w0_, line_d_;
   la::Vector z0_, u_;
+  bool margins_held_ = false;
+  // EvalLine's per-row loss and slope terms, one window of rows at a time.
+  la::Vector line_terms_;
 };
 
 /// \brief Multiclass softmax-regression objective (k classes) over dense

@@ -17,6 +17,15 @@ struct ChunkPartial {
 
 double ChunkedObjective::EvaluateWithGradient(la::ConstVectorView w,
                                               la::VectorView grad) {
+  return GradientPass(
+      w, grad, [&](size_t begin, size_t end, la::VectorView partial) {
+        return EvaluateChunk(begin, end, w, partial);
+      });
+}
+
+double ChunkedObjective::GradientPass(
+    la::ConstVectorView w, la::VectorView grad,
+    const std::function<double(size_t, size_t, la::VectorView)>& chunk) {
   grad.SetZero();
   double loss = 0;
   const size_t dim = Dimension();
@@ -24,8 +33,7 @@ double ChunkedObjective::EvaluateWithGradient(la::ConstVectorView w,
       [&](size_t, size_t row_begin, size_t row_end) {
         ChunkPartial partial;
         partial.grad = la::Vector(dim);
-        partial.loss =
-            EvaluateChunk(row_begin, row_end, w, partial.grad.View());
+        partial.loss = chunk(row_begin, row_end, partial.grad.View());
         return partial;
       },
       [&](size_t, ChunkPartial&& partial) {

@@ -56,8 +56,11 @@ struct ScanHooks {
 /// is bitwise identical in serial mode, at 1 worker, and at N workers.
 ///
 /// A subclass may also restrict itself to a line (PrepareLine/EvalLine).
-/// Lbfgs uses that once a line search's opening probe fails: one pass
-/// stores what the later probes of that line need, and they cost no pass.
+/// Lbfgs uses that once a line search's opening probe fails: what the
+/// later probes of that line need is stored once, and they cost no pass.
+/// On a line where the opening probe is likely to fail, Lbfgs opens with
+/// EvaluateOpeningProbe, whose pass may store it too, so that the line
+/// then costs no pass beyond its probe and its accepted step.
 class ChunkedObjective : public DifferentiableFunction {
  public:
   /// Rows in the backing dataset.
@@ -77,20 +80,36 @@ class ChunkedObjective : public DifferentiableFunction {
   double EvaluateWithGradient(la::ConstVectorView w,
                               la::VectorView grad) override;
 
-  /// Restricts the objective to the line w0 + alpha * d with one full
-  /// pass (counted in passes()) that stores what EvalLine needs, and
-  /// returns true. Returns false without a pass when the objective has no
-  /// line restriction, which is the default; a line search then spends a
-  /// pass on every probe.
+  /// The opening probe of the line w0 + alpha * d: one full pass that
+  /// returns EvaluateWithGradient(w, grad)'s bits at `w`, which the caller
+  /// built as w0 + alpha * d. An objective with a line restriction also
+  /// stores what EvalLine needs in the same pass, so that a following
+  /// PrepareLine(w0, d) needs none. The default is EvaluateWithGradient.
+  virtual double EvaluateOpeningProbe(la::ConstVectorView /*w0*/,
+                                      la::ConstVectorView /*d*/,
+                                      la::ConstVectorView w,
+                                      la::VectorView grad) {
+    return EvaluateWithGradient(w, grad);
+  }
+
+  /// Restricts the objective to the line w0 + alpha * d and returns true.
+  /// If the objective already holds what EvalLine needs for this line
+  /// (w0 and d equal bitwise to an earlier EvaluateOpeningProbe's or
+  /// PrepareLine's), it performs no pass; otherwise one full pass (counted
+  /// in passes()) stores it. Returns false without a pass when the
+  /// objective has no line restriction, which is the default; a line
+  /// search then spends a pass on every probe.
   virtual bool PrepareLine(la::ConstVectorView /*w0*/,
                            la::ConstVectorView /*d*/) {
     return false;
   }
 
   /// phi(alpha) = f(w0 + alpha * d), with phi'(alpha) in `dphi`, on the
-  /// line of the latest PrepareLine that returned true. Reads no data. The
-  /// values agree with EvaluateWithGradient's f and grad . d to rounding,
-  /// not bitwise.
+  /// line of the latest PrepareLine that returned true, with no
+  /// EvaluateOpeningProbe since (it may hold another line). Reads no
+  /// data. The values agree with EvaluateWithGradient's f and grad . d to
+  /// rounding, not bitwise; at any pool size they are the bits of one
+  /// fixed row-order sum.
   virtual double EvalLine(double alpha, double* dphi);
 
   /// Full data passes performed so far.
@@ -117,6 +136,14 @@ class ChunkedObjective : public DifferentiableFunction {
   /// after all chunks merged) and returns its loss term.
   virtual double ApplyRegularization(la::ConstVectorView w,
                                      la::VectorView grad) = 0;
+
+  /// One EvaluateWithGradient pass at `w` whose rows go through
+  /// `chunk(begin, end, partial)`, which returns rows [begin, end)'s loss
+  /// and adds their gradient into `partial` as EvaluateChunk does.
+  /// Partials merge in chunk order, then the regularization is added.
+  double GradientPass(
+      la::ConstVectorView w, la::VectorView grad,
+      const std::function<double(size_t, size_t, la::VectorView)>& chunk);
 
   /// One full pass over MakeChunker()'s chunks; every pass this class
   /// makes goes through here. Fires `before_pass`, counts the pass, and

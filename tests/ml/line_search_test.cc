@@ -2,11 +2,16 @@
 // fails, Lbfgs asks a data-backed objective to restrict itself to the
 // line w0 + alpha d (ChunkedObjective::PrepareLine): one pass stores each
 // row's margins, and EvalLine answers the line's later probes from them.
-// On dense and CSR rows these tests pin that
-//   - EvalLine agrees with a pass to rounding;
+// On the first line that pass is the opening probe's own
+// (ChunkedObjective::EvaluateOpeningProbe). On dense and CSR rows these
+// tests pin that
+//   - EvalLine agrees with a pass to rounding, and bitwise with a serial
+//     row-order sum over the margins;
 //   - the margin search accepts the same steps as a search that spends a
 //     pass on every probe, so the trained bits do not change;
-//   - the margin pass is an ordinary pass for the hooks and the counts.
+//   - the margin pass is an ordinary pass for the hooks and the counts;
+//   - the opening probe's pass holds the line, so PrepareLine of that line
+//     performs no pass.
 
 #include <gtest/gtest.h>
 
@@ -32,10 +37,8 @@ constexpr size_t kRows = 300;
 constexpr size_t kChunkRows = 64;
 constexpr uint64_t kChunkNnzBytes = 16 << 10;
 
-/// Binary digits (class >= 5) with raw [0, 255] pixels, held both dense
-/// and as CSR. As on the paper's data, L-BFGS's opening probe of 1/||g||
-/// along -g overshoots, so the first line search bisects.
-struct Digits {
+/// Labeled rows held both dense and as CSR.
+struct LabeledRows {
   la::Matrix dense;
   la::Vector labels;
   std::vector<uint64_t> row_ptr{0};
@@ -48,8 +51,11 @@ struct Digits {
   }
 };
 
-Digits MakeDigits() {
-  Digits digits;
+/// Binary digits (class >= 5) with raw [0, 255] pixels. As on the paper's
+/// data, L-BFGS's opening probe of 1/||g|| along -g overshoots, so the
+/// first line search bisects.
+LabeledRows MakeDigits() {
+  LabeledRows digits;
   digits.dense = la::Matrix(kRows, data::kImageFeatures);
   digits.labels = la::Vector(kRows);
   const data::InfiMnistGenerator generator(/*seed=*/5);
@@ -67,8 +73,8 @@ Digits MakeDigits() {
   return digits;
 }
 
-const Digits& TestDigits() {
-  static const Digits digits = MakeDigits();
+const LabeledRows& TestDigits() {
+  static const LabeledRows digits = MakeDigits();
   return digits;
 }
 
@@ -78,7 +84,7 @@ enum class RowKind { kDense, kCsr };
 /// chunks, CSR rows in ragged nnz-budget chunks.
 std::unique_ptr<ChunkedObjective> MakeObjective(RowKind kind, double l2,
                                                 ScanHooks hooks = {}) {
-  const Digits& digits = TestDigits();
+  const LabeledRows& digits = TestDigits();
   if (kind == RowKind::kDense) {
     return std::make_unique<LogisticRegressionObjective>(
         digits.dense.View(), digits.labels, l2, kChunkRows,
@@ -234,7 +240,7 @@ TEST_P(LineSearchTest, MarginPassIsAnOrdinaryPass) {
   EXPECT_EQ(pass_indices.size(), 2u);
 }
 
-TEST_P(LineSearchTest, FailedOpeningProbeCostsThreeEvaluations) {
+TEST_P(LineSearchTest, FailedOpeningProbeCostsTwoEvaluations) {
   LbfgsOptions one_line = PaperOptions();
   one_line.max_iterations = 1;
 
@@ -248,15 +254,15 @@ TEST_P(LineSearchTest, FailedOpeningProbeCostsThreeEvaluations) {
   ASSERT_EQ(passes.iterations, 1u);
   ASSERT_GT(passes.function_evaluations, 1u + 2u);
 
-  // On margins the line costs its opening probe, the margin pass and the
-  // accepted step's pass.
+  // On margins the line costs its opening probe, whose pass also stored
+  // the margins, and the accepted step's pass.
   const std::unique_ptr<ChunkedObjective> objective =
       MakeObjective(GetParam(), 0);
   la::Vector w(objective->Dimension());
   const OptimizationResult margins =
       Lbfgs(one_line).Minimize(objective.get(), w).ValueOrDie();
   EXPECT_EQ(margins.iterations, 1u);
-  EXPECT_EQ(margins.function_evaluations, 1u + 3u);
+  EXPECT_EQ(margins.function_evaluations, 1u + 2u);
   EXPECT_EQ(margins.data_passes, margins.function_evaluations);
 
   // Over a whole paper-config call every evaluation is one pass.
@@ -264,6 +270,173 @@ TEST_P(LineSearchTest, FailedOpeningProbeCostsThreeEvaluations) {
   const OptimizationResult paper =
       Lbfgs(PaperOptions()).Minimize(objective.get(), w_paper).ValueOrDie();
   EXPECT_EQ(paper.data_passes, paper.function_evaluations);
+}
+
+TEST_P(LineSearchTest, OpeningProbeHoldsTheLine) {
+  for (const double l2 : {0.0, 1e-2}) {
+    SCOPED_TRACE("l2 " + std::to_string(l2));
+    const std::unique_ptr<ChunkedObjective> objective =
+        MakeObjective(GetParam(), l2);
+    const size_t n = objective->Dimension();
+    util::Rng rng(17);
+    la::Vector w0(n), d(n);
+    for (size_t i = 0; i < n; ++i) {
+      w0[i] = rng.Uniform(-1e-3, 1e-3);
+    }
+    objective->EvaluateWithGradient(w0, d);
+    la::Scal(-1.0, d);
+    la::Vector w(n), grad(n);
+    la::Copy(w0, w);
+    la::Axpy(1.0 / la::Nrm2(d), d, w);
+    const double f = objective->EvaluateOpeningProbe(w0, d, w, grad);
+    ASSERT_EQ(objective->passes(), 2u);
+
+    // The probe answers a plain pass's bits...
+    const std::unique_ptr<ChunkedObjective> fresh =
+        MakeObjective(GetParam(), l2);
+    la::Vector fresh_grad(n);
+    const double fresh_f = fresh->EvaluateWithGradient(w, fresh_grad);
+    EXPECT_TRUE(BitwiseEqual({f}, {fresh_f}));
+    EXPECT_TRUE(BitwiseEqual(grad, fresh_grad));
+
+    // ...and its pass held the line: PrepareLine performs none, and
+    // EvalLine answers what an explicit margin pass would give it.
+    ASSERT_TRUE(objective->PrepareLine(w0, d));
+    EXPECT_EQ(objective->passes(), 2u);
+    ASSERT_TRUE(fresh->PrepareLine(w0, d));
+    EXPECT_EQ(fresh->passes(), 2u);
+    const double opening = 1.0 / la::Nrm2(d);
+    for (const double alpha : {0.0, opening / 64, opening / 2, opening}) {
+      double dphi = 0, fresh_dphi = 0;
+      const double phi = objective->EvalLine(alpha, &dphi);
+      const double fresh_phi = fresh->EvalLine(alpha, &fresh_dphi);
+      EXPECT_TRUE(BitwiseEqual({phi, dphi}, {fresh_phi, fresh_dphi}))
+          << "alpha " << alpha;
+    }
+
+    // Another direction from the same origin is another line: its
+    // margins cost a pass.
+    la::Scal(0.5, d);
+    ASSERT_TRUE(objective->PrepareLine(w0, d));
+    EXPECT_EQ(objective->passes(), 3u);
+  }
+}
+
+// EvalLine's bits. It computes its rows' terms across the thread pool and
+// sums them on the calling thread; over more rows than its 32768-row window
+// it must still answer what one serial loop over the rows in order does.
+
+constexpr size_t kWideRows = 40000;
+constexpr size_t kWideCols = 24;
+
+/// kWideRows random rows, about a third of their entries zero, held dense
+/// and as CSR, with random {0, 1} labels.
+LabeledRows MakeWideRows() {
+  LabeledRows rows;
+  rows.dense = la::Matrix(kWideRows, kWideCols);
+  rows.labels = la::Vector(kWideRows);
+  util::Rng rng(23);
+  for (size_t r = 0; r < kWideRows; ++r) {
+    la::VectorView row = rows.dense.Row(r);
+    for (size_t c = 0; c < kWideCols; ++c) {
+      if (rng.UniformInt(3) == 0) {
+        continue;
+      }
+      row[c] = rng.Uniform(-1.0, 1.0);
+      rows.col_idx.push_back(static_cast<uint32_t>(c));
+      rows.values.push_back(row[c]);
+    }
+    rows.row_ptr.push_back(rows.col_idx.size());
+    rows.labels[r] = rng.UniformInt(2) == 0 ? 0.0 : 1.0;
+  }
+  return rows;
+}
+
+// The objective's stable log(1 + e^z) and sigmoid.
+double Log1pExp(double z) {
+  if (z > 0) {
+    return z + std::log1p(std::exp(-z));
+  }
+  return std::log1p(std::exp(z));
+}
+
+double Sigmoid(double z) {
+  if (z >= 0) {
+    const double e = std::exp(-z);
+    return 1.0 / (1.0 + e);
+  }
+  const double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+/// phi(alpha) and phi'(alpha) of the logistic loss on the line w0 + alpha d
+/// over `rows`, from margins built with la::Dot / la::SparseDot and summed
+/// by one serial loop in row order.
+std::vector<double> SerialLine(const LabeledRows& rows, RowKind kind, double l2,
+                               la::ConstVectorView w0, la::ConstVectorView d,
+                               double alpha) {
+  const size_t n = rows.dense.rows();
+  const size_t cols = rows.dense.cols();
+  const la::CsrView csr = rows.Csr();
+  la::ConstVectorView w0_weights = w0.Slice(0, cols);
+  la::ConstVectorView d_weights = d.Slice(0, cols);
+  double loss = 0;
+  double slope = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const double z0 = (kind == RowKind::kDense
+                           ? la::Dot(rows.dense.Row(r), w0_weights)
+                           : la::SparseDot(csr.Row(r), w0_weights)) +
+                      w0[cols];
+    const double u = (kind == RowKind::kDense
+                          ? la::Dot(rows.dense.Row(r), d_weights)
+                          : la::SparseDot(csr.Row(r), d_weights)) +
+                     d[cols];
+    const double z = z0 + alpha * u;
+    loss += Log1pExp(z) - rows.labels[r] * z;
+    slope += (Sigmoid(z) - rows.labels[r]) * u;
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  loss *= inv_n;
+  slope *= inv_n;
+  if (l2 > 0) {
+    la::Vector w(w0.size());
+    la::Copy(w0, w);
+    la::Axpy(alpha, d, w);
+    la::ConstVectorView weights = w.View().Slice(0, cols);
+    loss += 0.5 * l2 * la::Dot(weights, weights);
+    slope += l2 * la::Dot(weights, d_weights);
+  }
+  return {loss, slope};
+}
+
+TEST_P(LineSearchTest, EvalLineIsASerialRowOrderSum) {
+  static const LabeledRows rows = MakeWideRows();
+  for (const double l2 : {0.0, 1e-2}) {
+    SCOPED_TRACE("l2 " + std::to_string(l2));
+    std::unique_ptr<ChunkedObjective> objective;
+    if (GetParam() == RowKind::kDense) {
+      objective = std::make_unique<LogisticRegressionObjective>(
+          rows.dense.View(), rows.labels, l2);
+    } else {
+      objective = std::make_unique<SparseLogisticRegressionObjective>(
+          rows.Csr(), rows.labels, l2);
+    }
+    const size_t n = objective->Dimension();
+    util::Rng rng(29);
+    la::Vector w0(n), d(n);
+    for (size_t i = 0; i < n; ++i) {
+      w0[i] = rng.Uniform(-0.5, 0.5);
+      d[i] = rng.Uniform(-1.0, 1.0);
+    }
+    ASSERT_TRUE(objective->PrepareLine(w0, d));
+    for (const double alpha : {0.0, 0.25, 1.0, 3.0}) {
+      double dphi = 0;
+      const double phi = objective->EvalLine(alpha, &dphi);
+      EXPECT_TRUE(BitwiseEqual({phi, dphi},
+                               SerialLine(rows, GetParam(), l2, w0, d, alpha)))
+          << "alpha " << alpha;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rows, LineSearchTest,
